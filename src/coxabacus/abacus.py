@@ -129,8 +129,9 @@ def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
     column interchanges and shifts.
     """
     ctx = a.ctx
+    N = ctx.N
     levels = [0] * (2 * ctx.n)
-    for r in range(1, 2 * ctx.n + 1):
-        b = generator_value(ctx, g, lowest_bead(a, r))
-        levels[runner_of(ctx, b) - 1] = level_of(ctx, b)
+    for r, lvl in enumerate(a.levels, start=1):
+        m, s = divmod(generator_value(ctx, g, lvl * N + r), N)
+        levels[s - 1] = m
     return Abacus(ctx, tuple(levels))

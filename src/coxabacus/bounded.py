@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 from .abacus import Abacus, bead_at, gaps_between, last_bead
 from .context import GroupContext
-from .core import CorePartition
+from .core import CorePartition, abacus_of
 from .errors import MalformedBounded
-from .peel import central_peel
 
 
 @dataclass(frozen=True)
@@ -74,23 +73,9 @@ def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
 
 
 def bounded_partition(lam: CorePartition) -> BoundedPartition:
-    """Row sizes of the upper diagram; the star records that the last part
-    of the eligible size was peeled ending in the letter n-1."""
-    ctx = lam.ctx
-    letters, boxes = central_peel(lam)
-    counts: dict[int, int] = {}
-    for (i, _) in boxes:
-        counts[i] = counts.get(i, 0) + 1
-    parts = tuple(counts[i] for i in sorted(counts))
-    star = None
-    size = star_size(ctx)
-    if size is not None and size in parts:
-        row = max(i for i, p in enumerate(parts, start=1) if p == size)
-        rightmost = max(j for (i, j) in boxes if i == row)
-        letter = letters[boxes.index((row, rightmost))]
-        if letter == ctx.n - 1:
-            star = parts.index(size) + parts.count(size) - 1
-    return make_bounded(ctx, parts, star)
+    """Row sizes of the upper diagram of central peeling, read off the
+    abacus of the core."""
+    return bounded_from_abacus(abacus_of(lam))
 
 
 def bounded_from_abacus(a: Abacus) -> BoundedPartition:

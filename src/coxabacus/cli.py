@@ -7,20 +7,11 @@ import argparse
 import json
 import sys
 
-from .abacus import (
-    Abacus,
-    from_permutation,
-    make_abacus,
-    to_permutation,
-)
-from .bounded import (
-    abacus_from_bounded,
-    bounded_partition,
-    parse_bounded,
-)
+from .abacus import from_permutation, make_abacus, to_permutation
+from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
 from .context import Family, GroupContext, make_context
-from .core import CorePartition, bruhat_leq, from_abacus, make_core, to_abacus
-from .errors import CoxabacusError
+from .core import abacus_of, bruhat_leq, from_abacus, make_core
+from .errors import CoxabacusError, NotMinimal
 from .lengths import length_from_abacus
 from .oracle import enumerate_quotient
 from .peel import central_peel, word_to_core
@@ -66,17 +57,21 @@ def _letters(text: str) -> list[int]:
 def parse_element(ctx: GroupContext, rep: str, value: str) -> MirroredPermutation:
     """Read one representation from text and route it to a window."""
     if rep == "window":
-        return from_base_window(ctx, _ints(value))
+        w = from_base_window(ctx, _ints(value))
+        canonical = to_permutation(from_permutation(w))
+        if canonical.window != w.window:
+            raise NotMinimal(f"window is not minimal; minimal: {list(canonical.window)}")
+        return w
     if rep == "levels":
         return to_permutation(make_abacus(ctx, _ints(value)))
     if rep == "root":
         return to_permutation(from_coordinates(RootPoint(ctx, tuple(_ints(value)))))
     if rep == "core":
-        return to_permutation(to_abacus(make_core(ctx, _ints(value))))
+        return to_permutation(abacus_of(make_core(ctx, _ints(value))))
     if rep == "bounded":
         return to_permutation(abacus_from_bounded(parse_bounded(ctx, value)))
     if rep == "word":
-        return to_permutation(to_abacus(word_to_core(ctx, _letters(value))))
+        return to_permutation(abacus_of(word_to_core(ctx, _letters(value))))
     raise CoxabacusError(f"unknown representation {rep!r}")
 
 
@@ -91,7 +86,7 @@ def format_element(w: MirroredPermutation, rep: str) -> str:
     if rep == "core":
         return "(" + ",".join(str(p) for p in from_abacus(a).rows) + ")"
     if rep == "bounded":
-        return str(bounded_partition(from_abacus(a)))
+        return str(bounded_from_abacus(a))
     if rep == "word":
         return render_word(central_peel(from_abacus(a))[0])
     raise CoxabacusError(f"unknown representation {rep!r}")
@@ -100,7 +95,6 @@ def format_element(w: MirroredPermutation, rep: str) -> str:
 def element_record(w: MirroredPermutation) -> dict:
     a = from_permutation(w)
     lam = from_abacus(a)
-    beta = bounded_partition(lam)
     return {
         "family": w.ctx.family.value,
         "rank": w.ctx.n,
@@ -109,7 +103,7 @@ def element_record(w: MirroredPermutation) -> dict:
         "levels": list(a.levels),
         "root": list(coordinates(a).coords),
         "core": list(lam.rows),
-        "bounded": str(beta),
+        "bounded": str(bounded_from_abacus(a)),
         "word": central_peel(lam)[0],
     }
 
@@ -183,10 +177,9 @@ def cmd_render(args) -> str:
     if args.what == "core":
         return (render_core_text if args.format == "text" else render_core_svg)(lam)
     if args.what == "bounded":
-        beta = bounded_partition(lam)
         return (
             render_bounded_text if args.format == "text" else render_bounded_svg
-        )(beta)
+        )(bounded_from_abacus(a))
     return render_peel_trace(lam, args.format)
 
 
@@ -196,10 +189,11 @@ def poset_dot(ctx: GroupContext, max_len: int) -> str:
     for layer in table.by_length:
         elements.extend(sorted(layer, key=lambda u: u.window))
     ids = {w.window: f"n{k}" for k, w in enumerate(elements)}
-    cores = {w.window: from_abacus(from_permutation(w)) for w in elements}
+    abaci = {w.window: from_permutation(w) for w in elements}
+    cores = {key: from_abacus(a) for key, a in abaci.items()}
     lines = ["digraph bruhat {"]
     for w in elements:
-        label = str(bounded_partition(cores[w.window]))
+        label = str(bounded_from_abacus(abaci[w.window]))
         lines.append(f'  {ids[w.window]} [label="{label}"];')
     for x in elements:
         for w in elements:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, active_beads, bead_at, first_gap
+from .abacus import Abacus, apply_generator_abacus, first_gap, last_bead
 from .context import GroupContext
 from .errors import BoxOutside, NotACore, NotSymmetric, ParityViolation
 
@@ -107,27 +107,25 @@ def runner_number(ctx: GroupContext, u: int) -> int:
 
 
 def from_abacus(a: Abacus) -> CorePartition:
-    ctx = a.ctx
-    beads = active_beads(a)
+    """One row per bead after the first gap, as long as the number of gaps
+    before it; position v = mN+r holds a bead iff m <= levels[r-1]."""
+    N, levels = a.ctx.N, a.levels
     rows = []
     gaps = 0
-    v = first_gap(a)
-    it = iter(beads)
-    nxt = next(it, None)
-    while nxt is not None:
-        if v % ctx.N != 0:
-            if v == nxt:
-                rows.append(gaps)
-                nxt = next(it, None)
-            elif not bead_at(a, v):
-                gaps += 1
-        v += 1
+    for v in range(first_gap(a), last_bead(a) + 1):
+        r = v % N
+        if r == 0:
+            continue
+        if v // N <= levels[r - 1]:
+            rows.append(gaps)
+        else:
+            gaps += 1
     rows.reverse()
-    return CorePartition(ctx, tuple(rows))
+    return CorePartition(a.ctx, tuple(rows))
 
 
-def to_abacus(lam: CorePartition) -> Abacus:
-    validate_core(lam)
+def abacus_of(lam: CorePartition) -> Abacus:
+    """The abacus of a partition already known to be a core."""
     ctx = lam.ctx
     levels = [None] * (2 * ctx.n)
     for i in range(1, len(lam.rows) + 2 * ctx.n + 1):
@@ -137,6 +135,11 @@ def to_abacus(lam: CorePartition) -> Abacus:
         if levels[r - 1] is None or lvl > levels[r - 1]:
             levels[r - 1] = lvl
     return Abacus(ctx, tuple(levels))
+
+
+def to_abacus(lam: CorePartition) -> Abacus:
+    validate_core(lam)
+    return abacus_of(lam)
 
 
 # --- residues ------------------------------------------------------------
@@ -210,77 +213,16 @@ def residue(lam: CorePartition, i: int, j: int):
 
 # --- generator action ----------------------------------------------------
 
-def _components(cells: set) -> list[set]:
-    out = []
-    left = set(cells)
-    while left:
-        seed = left.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            i, j = stack.pop()
-            for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if cell in left:
-                    left.remove(cell)
-                    comp.add(cell)
-                    stack.append(cell)
-        out.append(comp)
-    return out
-
-
-def _shape_after(rows, comp, sign) -> tuple | None:
-    """Row lengths after adding (sign=+1) or removing (sign=-1) the cells
-    of comp, or None when the result is not a partition built by whole
-    boundary strips."""
-    per_row = {}
-    for i, _ in comp:
-        per_row[i] = per_row.get(i, 0) + 1
-    height = max(len(rows), max(per_row) if sign > 0 else 0)
-    new = [row_len(rows, i) + sign * per_row.get(i, 0) for i in range(1, height + 1)]
-    for (i, j) in comp:
-        old = row_len(rows, i)
-        if sign > 0 and not (old < j <= new[i - 1]):
-            return None
-        if sign < 0 and not (new[i - 1] < j <= old):
-            return None
-    if any(new[i] < new[i + 1] for i in range(len(new) - 1)):
-        return None
-    if any(x < 0 for x in new):
-        return None
-    while new and new[-1] == 0:
-        new.pop()
-    return tuple(new)
-
-
 def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
-    """Add all addable g-components, or remove all removable ones."""
-    ctx = lam.ctx
-    rows = lam.rows
-    size = max((len(rows), row_len(rows, 1))) if rows else 0
-    bound = size + 2 * ctx.n + 2
-    cells = set()
-    for i in range(1, bound + 1):
-        for j in range(1, bound + 1):
-            if g in residue_set(lam, i, j):
-                cells.add((i, j))
-    addable, removable = [], []
-    for comp in _components(cells):
-        inside = sum(1 for c in comp if contains_box(rows, *c))
-        if inside == len(comp):
-            if _shape_after(rows, comp, -1) is not None:
-                removable.append(comp)
-        elif inside == 0:
-            if _shape_after(rows, comp, +1) is not None:
-                addable.append(comp)
-    if removable:
-        chosen, sign = removable, -1
-    elif addable:
-        chosen, sign = addable, +1
-    else:
-        return lam
-    merged = set().union(*chosen)
-    new = _shape_after(rows, merged, sign)
-    return CorePartition(ctx, new)
+    """Add all addable g-components, or remove all removable ones: on the
+    abacus, one bead move per runner."""
+    return from_abacus(apply_generator_abacus(abacus_of(lam), g))
+
+
+def core_size(a: Abacus) -> int:
+    """Number of boxes of the core of a: n * sum(l_r^2) + sum(r * l_r)."""
+    n = a.ctx.n
+    return sum(n * lvl * lvl + r * lvl for r, lvl in enumerate(a.levels, start=1))
 
 
 # --- Bruhat order --------------------------------------------------------
@@ -294,35 +236,25 @@ def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
 # So the order is computed by descent induction: x <= w iff
 # min(x, s_g x) <= s_g w for any descent g of w, grounded at the identity.
 
-_BRUHAT_MEMO: dict = {}
-
-
-def _first_descent(lam: CorePartition) -> tuple[int, CorePartition]:
-    for g in range(lam.ctx.n + 1):
-        nxt = apply_generator_core(lam, g)
-        if sum(nxt.rows) < sum(lam.rows):
-            return g, nxt
-    raise NotACore(f"{lam.rows} has no removable residue")
-
-
 def contains(lam: CorePartition, mu: CorePartition) -> bool:
     """Bruhat order on the elements the cores stand for: True when mu's
     element is below lam's."""
-    if mu.rows == lam.rows:
-        return True
-    if not lam.rows:
-        return False
-    key = (lam.ctx, lam.rows, mu.rows)
-    cached = _BRUHAT_MEMO.get(key)
-    if cached is not None:
-        return cached
-    g, lam_down = _first_descent(lam)
-    mu_down = apply_generator_core(mu, g)
-    if sum(mu_down.rows) < sum(mu.rows):
-        mu = mu_down
-    result = contains(lam_down, mu)
-    _BRUHAT_MEMO[key] = result
-    return result
+    a, b = abacus_of(lam), abacus_of(mu)
+    size_a, size_b = core_size(a), core_size(b)
+    while a.levels != b.levels:
+        if size_a == 0:
+            return False
+        for g in a.ctx.generators():
+            down = apply_generator_abacus(a, g)
+            if (down_size := core_size(down)) < size_a:
+                break
+        else:
+            raise NotACore(f"{lam.rows} has no removable residue")
+        a, size_a = down, down_size
+        b_down = apply_generator_abacus(b, g)
+        if (b_down_size := core_size(b_down)) < size_b:
+            b, size_b = b_down, b_down_size
+    return True
 
 
 def bruhat_leq(x: CorePartition, w: CorePartition) -> bool:

@@ -29,6 +29,10 @@ class ParityViolation(CoxabacusError):
     """Object fails the evenness condition of its family."""
 
 
+class UnknownGenerator(CoxabacusError):
+    """A letter outside the generator alphabet 0..n."""
+
+
 class NotActiveBead(CoxabacusError):
     """Position is not an active bead of the abacus."""
 

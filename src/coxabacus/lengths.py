@@ -4,7 +4,7 @@ row statistics, and from rim walks on the core."""
 from __future__ import annotations
 
 from .abacus import Abacus, bead_at, gaps_between, last_bead, lowest_bead, runner_of
-from .core import CorePartition, diagonal_boxes, hook_length, row_len
+from .core import CorePartition, diagonal_boxes, hook_length, row_len, runner_number
 
 
 def length_from_abacus(a: Abacus) -> int:
@@ -24,13 +24,6 @@ def length_from_abacus(a: Abacus) -> int:
     return total
 
 
-def _end_runner(ctx, u: int) -> int:
-    """Runner number of the boundary step at diagonal u."""
-    if u >= 0:
-        return (u % (2 * ctx.n)) + 1
-    return 2 * ctx.n - ((-u - 1) % (2 * ctx.n))
-
-
 def length_from_core(lam: CorePartition) -> int:
     ctx = lam.ctx
     n, N = ctx.n, ctx.N
@@ -45,8 +38,8 @@ def length_from_core(lam: CorePartition) -> int:
     total = 0
     for i in range(1, n + 1):
         pair = {i, N - i}
-        u_top = max(u for u in steps if _end_runner(ctx, u) in pair)
-        runner = _end_runner(ctx, u_top)
+        u_top = max(u for u in steps if runner_number(ctx, u) in pair)
+        runner = runner_number(ctx, u_top)
         u_low = runner - 1 if runner <= n else runner - N
         total += row_len(rows, steps[u_top]) - row_len(rows, steps[u_low])
 
@@ -81,7 +74,7 @@ def length_from_rimwalk(lam: CorePartition) -> int:
         ends = [
             (rows[j - 1] - j, j)
             for j in range(1, len(rows) + 1)
-            if _end_runner(ctx, rows[j - 1] - j) in pair
+            if runner_number(ctx, rows[j - 1] - j) in pair
         ]
         if not ends:
             continue
@@ -91,11 +84,11 @@ def length_from_rimwalk(lam: CorePartition) -> int:
             continue
         walk = range(i - 1, u_r + 1)
         boxes = [b for u in walk if (b := _rim_box(rows, u)) is not None]
-        runner = _end_runner(ctx, u_r)
+        runner = runner_number(ctx, u_r)
         h = sum(
             1
             for j in {b[0] for b in boxes}
-            if _end_runner(ctx, rows[j - 1] - j) != runner
+            if runner_number(ctx, rows[j - 1] - j) != runner
         )
         total += rows[big_row - 1] - big_row - h + 1
     return total + ctx.x0 * diagonal_boxes(lam, 0) + ctx.xn * diagonal_boxes(lam, n)

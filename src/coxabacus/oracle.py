@@ -1,12 +1,15 @@
 """Brute-force oracles: breadth-first enumeration of the quotient by the
-left generator action, and Bruhat order via the lifting property.  These
-deliberately avoid the closed formulas so they can check them."""
+left generator action, Bruhat order via the lifting property, and the
+generator action on a core by scanning its cells for residues.  These
+deliberately avoid the closed formulas and the abacus so they can check
+them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .context import GroupContext
+from .core import CorePartition, contains_box, residue_set, row_len
 from .errors import NotEnumerated
 from .window import MirroredPermutation, apply_generator_left, identity, normalize
 
@@ -80,3 +83,77 @@ def bruhat_leq_lifting(
         result = bruhat_leq_lifting(table, x, wg)
     memo[key] = result
     return result
+
+
+def _components(cells: set) -> list[set]:
+    out = []
+    left = set(cells)
+    while left:
+        seed = left.pop()
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            i, j = stack.pop()
+            for cell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if cell in left:
+                    left.remove(cell)
+                    comp.add(cell)
+                    stack.append(cell)
+        out.append(comp)
+    return out
+
+
+def _shape_after(rows, comp, sign) -> tuple | None:
+    """Row lengths after adding (sign=+1) or removing (sign=-1) the cells
+    of comp, or None when the result is not a partition built by whole
+    boundary strips."""
+    per_row = {}
+    for i, _ in comp:
+        per_row[i] = per_row.get(i, 0) + 1
+    height = max(len(rows), max(per_row) if sign > 0 else 0)
+    new = [row_len(rows, i) + sign * per_row.get(i, 0) for i in range(1, height + 1)]
+    for (i, j) in comp:
+        old = row_len(rows, i)
+        if sign > 0 and not (old < j <= new[i - 1]):
+            return None
+        if sign < 0 and not (new[i - 1] < j <= old):
+            return None
+    if any(new[i] < new[i + 1] for i in range(len(new) - 1)):
+        return None
+    if any(x < 0 for x in new):
+        return None
+    while new and new[-1] == 0:
+        new.pop()
+    return tuple(new)
+
+
+def apply_generator_scan(lam: CorePartition, g: int) -> CorePartition:
+    """Add all addable g-components, or remove all removable ones, found by
+    scanning about (|lam| + 2n)^2 cells for the residue g."""
+    ctx = lam.ctx
+    rows = lam.rows
+    size = max((len(rows), row_len(rows, 1))) if rows else 0
+    bound = size + 2 * ctx.n + 2
+    cells = set()
+    for i in range(1, bound + 1):
+        for j in range(1, bound + 1):
+            if g in residue_set(lam, i, j):
+                cells.add((i, j))
+    addable, removable = [], []
+    for comp in _components(cells):
+        inside = sum(1 for c in comp if contains_box(rows, *c))
+        if inside == len(comp):
+            if _shape_after(rows, comp, -1) is not None:
+                removable.append(comp)
+        elif inside == 0:
+            if _shape_after(rows, comp, +1) is not None:
+                addable.append(comp)
+    if removable:
+        chosen, sign = removable, -1
+    elif addable:
+        chosen, sign = addable, +1
+    else:
+        return lam
+    merged = set().union(*chosen)
+    new = _shape_after(rows, merged, sign)
+    return CorePartition(ctx, new)

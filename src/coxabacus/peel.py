@@ -8,16 +8,18 @@ form the upper diagram and the letters form the canonical reduced word
 
 from __future__ import annotations
 
+from .abacus import apply_generator_abacus, identity_abacus
 from .context import GroupContext
 from .core import (
     CorePartition,
-    apply_generator_core,
+    abacus_of,
     diagonal_boxes,
+    from_abacus,
     hook_length,
     residue_set,
     row_len,
 )
-from .errors import StuckPeel
+from .errors import StuckPeel, UnknownGenerator
 
 
 def reference_diagonal(ctx: GroupContext) -> int:
@@ -48,11 +50,13 @@ def _recorded_box(ctx: GroupContext, letter: int, d: int, removed_cols) -> tuple
 
 def central_peel(lam: CorePartition) -> tuple[list[int], list[tuple]]:
     """Returns (letters, boxes); letters[k] was applied at step k, so the
-    group element is the product s_letters[0] ... s_letters[-1]."""
+    group element is the product s_letters[0] ... s_letters[-1].  The level
+    vector is the state; the core is read only for the box to peel."""
     ctx = lam.ctx
     ref = reference_diagonal(ctx)
     letters: list[int] = []
     boxes: list[tuple] = []
+    a = abacus_of(lam)
     cur = lam
     while cur.rows:
         d = diagonal_boxes(cur, ref)
@@ -60,7 +64,8 @@ def central_peel(lam: CorePartition) -> tuple[list[int], list[tuple]]:
             raise StuckPeel("no box on the reference diagonal")
         j = cur.rows[d - 1]
         r = _peel_letter(cur, d, j)
-        nxt = apply_generator_core(cur, r)
+        a = apply_generator_abacus(a, r)
+        nxt = from_abacus(a)
         if sum(nxt.rows) >= sum(cur.rows):
             raise StuckPeel(f"letter {r} does not shrink the partition")
         removed = list(range(row_len(nxt.rows, d) + 1, j + 1))
@@ -72,10 +77,12 @@ def central_peel(lam: CorePartition) -> tuple[list[int], list[tuple]]:
 
 def word_to_core(ctx: GroupContext, letters) -> CorePartition:
     """Rebuild the core from a word by applying letters right to left."""
-    cur = CorePartition(ctx, ())
+    a = identity_abacus(ctx)
     for r in reversed(list(letters)):
-        cur = apply_generator_core(cur, r)
-    return cur
+        if r not in ctx.generators():
+            raise UnknownGenerator(f"no generator s{r} at rank {ctx.n}")
+        a = apply_generator_abacus(a, r)
+    return from_abacus(a)
 
 
 def bounded_diagram(lam: CorePartition) -> set[tuple]:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from .abacus import Abacus, bead_at
 from .bounded import BoundedPartition, residue_filling
-from .core import CorePartition, residue
+from .core import CorePartition, apply_generator_core, residue
 from .errors import UnrenderableCombination
-from .peel import central_peel, word_to_core
+from .peel import central_peel
 
 EMPTY = "(empty diagram)\n"
 
@@ -168,7 +168,7 @@ def render_peel_trace(lam: CorePartition, fmt: str = "text") -> str:
     draw = render_core_text if fmt == "text" else render_core_svg
     for k, r in enumerate(letters):
         frames.append(f"step {k}: remove residue {r}\n{draw(cur)}")
-        cur = word_to_core(lam.ctx, letters[k + 1:])
+        cur = apply_generator_core(cur, r)
     frames.append(f"step {len(letters)}: identity\n{draw(cur)}")
     return "\n".join(frames)
 

@@ -104,16 +104,18 @@ def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
 
 
 def _count_cond_zero(w: MirroredPermutation) -> int:
-    """|{i <= 0 : w(i) >= 1}|, finite by periodicity."""
-    bound = max(abs(e) for e in w.window) + w.ctx.N
-    return sum(1 for i in range(-bound, 1) if evaluate(w, i) >= 1)
+    """|{i <= 0 : w(i) >= 1}|: per window entry e, the shifts m <= -1 with
+    mN + e >= 1, counted in closed form."""
+    return sum(max(0, (e - 1) // w.ctx.N) for e in w.window)
 
 
 def _count_cond_n(w: MirroredPermutation) -> int:
-    """|{i <= n : w(i) >= n+1}|, finite by periodicity."""
-    n = w.ctx.n
-    bound = max(abs(e) for e in w.window) + w.ctx.N
-    return sum(1 for i in range(n - bound, n + 1) if evaluate(w, i) >= n + 1)
+    """|{i <= n : w(i) >= n+1}|: per window position r, the shifts m with
+    mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
+    n, N = w.ctx.n, w.ctx.N
+    return sum(
+        max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(w.window, start=1)
+    )
 
 
 def family_membership(w: MirroredPermutation) -> bool:

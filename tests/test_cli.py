@@ -1,8 +1,12 @@
 import json
+import time
 
 import pytest
 
-from coxabacus.cli import main
+import coxabacus.core as core
+from coxabacus import Family, make_context
+from coxabacus.cli import main, parse_element
+from coxabacus.errors import NotMinimal, ParityViolation, UnknownGenerator
 
 GOLDEN = "[-11,-9,-1,8,16,18]"
 
@@ -144,3 +148,47 @@ def test_rank_too_small_exits_two(capsys):
     )
     assert code == 2
     assert "rank" in err
+
+
+def test_window_source_rejects_non_minimal():
+    ctx = make_context(Family.C_OVER_C, 3)
+    with pytest.raises(NotMinimal):
+        parse_element(ctx, "window", "[2,1,3,4,6,5]")
+
+
+@pytest.mark.parametrize(
+    "family, rank, window",
+    [(Family.D_OVER_D, 4, "[-1,2,3,4,5,6,7,10]"), (Family.B_OVER_B, 3, "[-1,2,3,4,5,8]")],
+)
+def test_window_source_checks_parity(family, rank, window):
+    with pytest.raises(ParityViolation):
+        parse_element(make_context(family, rank), "window", window)
+
+
+@pytest.mark.parametrize("word", ["s9", "s-1", "s0 s4"])
+def test_word_source_rejects_unknown_generator(word):
+    with pytest.raises(UnknownGenerator):
+        parse_element(make_context(Family.C_OVER_C, 3), "word", word)
+
+
+def test_huge_root_point_converts_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "convert", "--family", "BD", "--rank", "3",
+        "--from", "root", "--to", "window", "(3000000,0,0)",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == "[-20999994,2,4,3,5,21000001]"
+
+
+def test_core_source_validates_once(capsys, monkeypatch):
+    calls = []
+    validate = core.validate_core
+    monkeypatch.setattr(core, "validate_core", lambda lam: calls.append(lam) or validate(lam))
+    code, out, _ = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "core", "--to", "window", "(10,9,6,5,5,3,2,2,2,1)",
+    )
+    assert code == 0 and out.strip() == GOLDEN
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ from coxabacus import Family
 from coxabacus.core import (
     conjugate,
     contains,
+    core_size,
     diagonal_boxes,
     from_abacus,
     hook_length,
@@ -14,6 +15,7 @@ from coxabacus.core import (
     validate_core,
 )
 from coxabacus.errors import BoxOutside, NotACore, NotSymmetric, ParityViolation
+from coxabacus.oracle import apply_generator_scan
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D5 = cx.make_context(Family.D_OVER_D, 5)
@@ -92,6 +94,8 @@ def test_apply_generator_neither_fixes():
     lam = from_abacus(cx.from_permutation(w))
     assert cx.apply_generator_core(lam, 2).rows == lam.rows
     assert cx.apply_generator_core(lam, 5).rows == lam.rows
+    for g in D5.generators():
+        assert cx.apply_generator_core(lam, g) == apply_generator_scan(lam, g)
 
 
 def test_contains_reflexive_and_grounded(tables):
@@ -151,3 +155,20 @@ def test_diagonal_boxes():
     assert diagonal_boxes(lam, 3) == sum(
         1 for i in range(1, 11) if GOLDEN_C3[i - 1] >= i + 3
     )
+
+
+def test_core_size_formula(tables):
+    for (fam, n), table in tables.items():
+        for w in table.elements():
+            a = cx.from_permutation(w)
+            assert core_size(a) == sum(from_abacus(a).rows)
+
+
+def test_contains_past_the_recursion_limit():
+    c2 = cx.make_context(Family.C_OVER_C, 2)
+    a = cx.from_coordinates(cx.RootPoint(c2, (300, -120)))
+    assert cx.length_from_abacus(a) == 1437
+    lam = from_abacus(a)
+    empty = make_core(c2, ())
+    assert contains(lam, empty)
+    assert not contains(empty, lam)

@@ -79,3 +79,28 @@ def test_chain_from_identity(tables):
         for w in table.elements():
             if table.length(w) <= 6:
                 assert bruhat_leq_lifting(table, e, w)
+
+
+def _bott_series(ctx, max_len):
+    """Coefficients of the length generating function of the quotient:
+    prod 1/(1-q^e) over the exponents e of the finite Weyl group, times
+    (1+q^n) in B~/D."""
+    n = ctx.n
+    if ctx.family is Family.D_OVER_D:
+        exponents = [*range(1, 2 * n - 2, 2), n - 1]
+    else:
+        exponents = range(1, 2 * n, 2)
+    coeffs = [1] + [0] * max_len
+    for e in exponents:
+        for k in range(e, max_len + 1):
+            coeffs[k] += coeffs[k - e]
+    if ctx.family is Family.B_OVER_D:
+        coeffs = [c + (coeffs[k - n] if k >= n else 0) for k, c in enumerate(coeffs)]
+    return coeffs
+
+
+def test_layer_sizes_match_bott_series(tables):
+    for (fam, n), table in tables.items():
+        ctx = cx.make_context(fam, n)
+        expected = _bott_series(ctx, table.max_len)
+        assert [len(layer) for layer in table.by_length] == expected

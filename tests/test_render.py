@@ -77,6 +77,14 @@ def test_peel_trace_counts_steps():
     assert "identity" in trace
 
 
+def test_peel_trace_frames_are_word_suffixes():
+    lam = golden_core()
+    letters, _ = cx.central_peel(lam)
+    frames = render_peel_trace(lam).split("\nstep ")
+    for k, frame in enumerate(frames):
+        assert frame.endswith(render_core_text(cx.word_to_core(C3, letters[k:])))
+
+
 def test_peel_trace_rejects_unknown_format():
     with pytest.raises(UnrenderableCombination):
         render_peel_trace(golden_core(), "pdf")

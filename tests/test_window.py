@@ -11,6 +11,8 @@ from coxabacus.errors import (
     ZeroResidue,
 )
 from coxabacus.window import (
+    _count_cond_n,
+    _count_cond_zero,
     apply_generator_left,
     evaluate,
     family_membership,
@@ -127,3 +129,18 @@ def test_random_products_even_family(word):
         w = normalize(apply_generator_left(w, g))
     assert family_membership(w)
     assert cx.from_base_window(D4, w.window).window == w.window
+
+
+def _count_by_scan(w, pos, val):
+    """|{i <= pos : w(i) >= val}| by evaluating w on every i in range."""
+    bound = max(abs(e) for e in w.window) + w.ctx.N
+    return sum(1 for i in range(pos - bound, pos + 1) if evaluate(w, i) >= val)
+
+
+def test_closed_form_counts_match_scan(tables):
+    for (fam, n), table in tables.items():
+        for w in table.elements():
+            # the raw neighbours are not minimal and may fail the parity
+            for u in (w, *(apply_generator_left(w, g) for g in w.ctx.generators())):
+                assert _count_cond_zero(u) == _count_by_scan(u, 0, 1)
+                assert _count_cond_n(u) == _count_by_scan(u, n, n + 1)
