@@ -6,6 +6,7 @@ canonical reduced words."""
 from .abacus import (
     Abacus,
     apply_generator_abacus,
+    descent_class,
     from_permutation,
     identity_abacus,
     is_even,
@@ -41,7 +42,6 @@ from .rootlattice import RootPoint, coordinates, from_coordinates, reflect
 from .window import (
     MirroredPermutation,
     apply_generator_left,
-    descent_class,
     from_base_window,
     identity,
     is_minimal_coset_rep,

@@ -8,10 +8,11 @@ Balance means the levels of mirrored runners r and N-r cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .context import GroupContext
-from .errors import BalanceViolation, NotActiveBead, ParityViolation
-from .window import MirroredPermutation, generator_value, normalize
+from .errors import BalanceViolation, NotActiveBead, NotMinimal, ParityViolation
+from .window import MirroredPermutation, generator_value, is_minimal_coset_rep, normalize
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,46 @@ def is_even(a: Abacus) -> bool:
     return sum(abs(a.level(r)) for r in range(1, a.ctx.n + 1)) % 2 == 0
 
 
-def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
-    """The generator action: each runner's lowest bead moves as a value.
+@lru_cache(maxsize=1024)
+def generator_moves(ctx: GroupContext, g: int) -> tuple[tuple[int, int, int], ...]:
+    """(runner, shift, new runner) for the at most four runners s_g moves: the
+    lowest bead at level l goes to level l + shift on the new runner."""
+    images = ((r, *divmod(generator_value(ctx, g, r), ctx.N)) for r in range(1, ctx.N))
+    return tuple((r, shift, s) for r, shift, s in images if (shift, s) != (0, r))
 
-    Generators permute runners wholesale (with a level shift at the affine
-    end), so mapping lowest beads through the value action reproduces the
-    column interchanges and shifts.
-    """
-    ctx = a.ctx
-    N = ctx.N
-    levels = [0] * (2 * ctx.n)
-    for r, lvl in enumerate(a.levels, start=1):
-        m, s = divmod(generator_value(ctx, g, lvl * N + r), N)
-        levels[s - 1] = m
-    return Abacus(ctx, tuple(levels))
+
+def move_levels(levels: tuple[int, ...], moves) -> tuple[int, ...]:
+    """The level vector after the moves of one generator."""
+    out = list(levels)
+    for r, shift, s in moves:
+        out[s - 1] = levels[r - 1] + shift
+    return tuple(out)
+
+
+def size_change(n: int, levels: tuple[int, ...], moves) -> int:
+    """Core size after the moves minus before, from the moved runners' terms
+    n*l^2 + r*l: negative for a descent, 0 when the element is fixed."""
+    total = 0
+    for r, m, s in moves:  # n(l+m)^2 + s(l+m) - n*l^2 - r*l, expanded
+        total += m * (n * (2 * levels[r - 1] + m) + s) + (s - r) * levels[r - 1]
+    return total
+
+
+def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
+    """The generator action: s_g permutes runners wholesale, with a level
+    shift at the affine end, so only the moved runners are rewritten."""
+    return Abacus(a.ctx, move_levels(a.levels, generator_moves(a.ctx, g)))
+
+
+def core_size(a: Abacus) -> int:
+    """Number of boxes of the core of a: n * sum(l_r^2) + sum(r * l_r)."""
+    n = a.ctx.n
+    return sum(n * lvl * lvl + r * lvl for r, lvl in enumerate(a.levels, start=1))
+
+
+def descent_class(w: MirroredPermutation, g: int) -> str:
+    """'descent', 'ascent' or 'neither' for the left action of s_g on w."""
+    if not is_minimal_coset_rep(w):
+        raise NotMinimal("descent_class requires a minimal coset representative")
+    change = size_change(w.ctx.n, from_permutation(w).levels, generator_moves(w.ctx, g))
+    return "neither" if change == 0 else "descent" if change < 0 else "ascent"

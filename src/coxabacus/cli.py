@@ -9,12 +9,13 @@ import sys
 
 from .abacus import from_permutation, make_abacus, to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
+from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
-from .core import abacus_of, bruhat_leq, from_abacus, make_core
+from .core import abacus_of, contains_abacus, from_abacus, make_core
 from .errors import CoxabacusError, NotMinimal
 from .lengths import length_from_abacus
 from .oracle import enumerate_quotient
-from .peel import central_peel, word_to_core
+from .peel import word_to_core
 from .render import (
     render_abacus_svg,
     render_abacus_text,
@@ -88,13 +89,13 @@ def format_element(w: MirroredPermutation, rep: str) -> str:
     if rep == "bounded":
         return str(bounded_from_abacus(a))
     if rep == "word":
-        return render_word(central_peel(from_abacus(a))[0])
+        return render_word(word_from_filling(bounded_from_abacus(a)))
     raise CoxabacusError(f"unknown representation {rep!r}")
 
 
 def element_record(w: MirroredPermutation) -> dict:
     a = from_permutation(w)
-    lam = from_abacus(a)
+    beta = bounded_from_abacus(a)
     return {
         "family": w.ctx.family.value,
         "rank": w.ctx.n,
@@ -102,9 +103,9 @@ def element_record(w: MirroredPermutation) -> dict:
         "window": list(w.window),
         "levels": list(a.levels),
         "root": list(coordinates(a).coords),
-        "core": list(lam.rows),
-        "bounded": str(bounded_from_abacus(a)),
-        "word": central_peel(lam)[0],
+        "core": list(from_abacus(a).rows),
+        "bounded": str(beta),
+        "word": word_from_filling(beta),
     }
 
 
@@ -184,24 +185,23 @@ def cmd_render(args) -> str:
 
 
 def poset_dot(ctx: GroupContext, max_len: int) -> str:
-    table = enumerate_quotient(ctx, max_len)
-    elements = []
-    for layer in table.by_length:
-        elements.extend(sorted(layer, key=lambda u: u.window))
+    """Covers join adjacent length layers, so only those pairs are tested."""
+    layers = [
+        sorted(layer, key=lambda u: u.window)
+        for layer in enumerate_quotient(ctx, max_len).by_length
+    ]
+    elements = [w for layer in layers for w in layer]
     ids = {w.window: f"n{k}" for k, w in enumerate(elements)}
     abaci = {w.window: from_permutation(w) for w in elements}
-    cores = {key: from_abacus(a) for key, a in abaci.items()}
     lines = ["digraph bruhat {"]
     for w in elements:
         label = str(bounded_from_abacus(abaci[w.window]))
         lines.append(f'  {ids[w.window]} [label="{label}"];')
-    for x in elements:
-        for w in elements:
-            if (
-                table.length(w) == table.length(x) + 1
-                and bruhat_leq(cores[x.window], cores[w.window])
-            ):
-                lines.append(f"  {ids[x.window]} -> {ids[w.window]};")
+    for lower, upper in zip(layers, layers[1:]):
+        for x in lower:
+            for w in upper:
+                if contains_abacus(abaci[w.window], abaci[x.window]):
+                    lines.append(f"  {ids[x.window]} -> {ids[w.window]};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, apply_generator_abacus, first_gap, last_bead
+from .abacus import Abacus, apply_generator_abacus, core_size, first_gap, generator_moves
+from .abacus import last_bead, move_levels, size_change
 from .context import GroupContext
 from .errors import BoxOutside, NotACore, NotSymmetric, ParityViolation
 
@@ -40,12 +41,13 @@ def make_core(ctx: GroupContext, rows) -> CorePartition:
 
 
 def conjugate(rows: tuple[int, ...]) -> tuple[int, ...]:
-    if not rows:
-        return ()
-    out = [0] * rows[0]
-    for r in rows:
-        for j in range(r):
-            out[j] += 1
+    """Column lengths: a pointer walks up from the last row as j grows."""
+    out = []
+    i = len(rows)
+    for j in range(1, row_len(rows, 1) + 1):
+        while rows[i - 1] < j:
+            i -= 1
+        out.append(i)
     return tuple(out)
 
 
@@ -71,16 +73,19 @@ def diagonal_boxes(lam: CorePartition, d: int) -> int:
 
 
 def validate_core(lam: CorePartition) -> None:
+    """Symmetry, then the 2n-core property in O(len(rows)): row i has a hook
+    of length 2n iff rows_i - i - 2n >= -len(rows) is not some rows_k - k."""
     ctx = lam.ctx
     rows = lam.rows
-    conj = conjugate(rows)
-    if rows != conj:
-        raise NotSymmetric(f"{rows} differs from its transpose {conj}")
-    p = 2 * ctx.n
+    if row_len(rows, 1) != len(rows) or rows != conjugate(rows):
+        raise NotSymmetric(f"{rows} differs from its transpose")
+    p, k = 2 * ctx.n, 0  # rows[k] - k - 1 and b both fall: k only moves on
     for i, r in enumerate(rows, start=1):
-        for j in range(1, r + 1):
-            if ((r - j) + (conj[j - 1] - i) + 1) % p == 0:
-                raise NotACore(f"hook of box ({i},{j}) divisible by {p}")
+        b = r - i - p
+        while k < len(rows) and rows[k] - k - 1 > b:
+            k += 1
+        if b >= -len(rows) and (k == len(rows) or rows[k] - k - 1 != b):
+            raise NotACore(f"row {i} has a hook of length {p}")
     if ctx.is_even_family and diagonal_boxes(lam, 0) % 2 != 0:
         raise ParityViolation("odd number of main-diagonal boxes")
 
@@ -219,12 +224,6 @@ def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
     return from_abacus(apply_generator_abacus(abacus_of(lam), g))
 
 
-def core_size(a: Abacus) -> int:
-    """Number of boxes of the core of a: n * sum(l_r^2) + sum(r * l_r)."""
-    n = a.ctx.n
-    return sum(n * lvl * lvl + r * lvl for r, lvl in enumerate(a.levels, start=1))
-
-
 # --- Bruhat order --------------------------------------------------------
 #
 # Containment of the core diagrams is not the Bruhat order here: in the
@@ -239,21 +238,22 @@ def core_size(a: Abacus) -> int:
 def contains(lam: CorePartition, mu: CorePartition) -> bool:
     """Bruhat order on the elements the cores stand for: True when mu's
     element is below lam's."""
-    a, b = abacus_of(lam), abacus_of(mu)
-    size_a, size_b = core_size(a), core_size(b)
-    while a.levels != b.levels:
-        if size_a == 0:
+    return contains_abacus(abacus_of(lam), abacus_of(mu))
+
+
+def contains_abacus(a: Abacus, b: Abacus) -> bool:
+    """`contains` on level vectors: b moves down with a where it can."""
+    tables = [generator_moves(a.ctx, g) for g in a.ctx.generators()]
+    x, y = a.levels, b.levels
+    while x != y:
+        if not any(x):
             return False
-        for g in a.ctx.generators():
-            down = apply_generator_abacus(a, g)
-            if (down_size := core_size(down)) < size_a:
-                break
-        else:
-            raise NotACore(f"{lam.rows} has no removable residue")
-        a, size_a = down, down_size
-        b_down = apply_generator_abacus(b, g)
-        if (b_down_size := core_size(b_down)) < size_b:
-            b, size_b = b_down, b_down_size
+        moves = next((m for m in tables if size_change(a.ctx.n, x, m) < 0), None)
+        if moves is None:
+            raise NotACore(f"levels {x} have no descent")
+        x = move_levels(x, moves)
+        if size_change(a.ctx.n, y, moves) < 0:
+            y = move_levels(y, moves)
     return True
 
 

@@ -4,7 +4,7 @@ row statistics, and from rim walks on the core."""
 from __future__ import annotations
 
 from .abacus import Abacus, bead_at, gaps_between, last_bead, lowest_bead, runner_of
-from .core import CorePartition, diagonal_boxes, hook_length, row_len, runner_number
+from .core import CorePartition, conjugate, diagonal_boxes, row_len, runner_number
 
 
 def length_from_abacus(a: Abacus) -> int:
@@ -43,10 +43,11 @@ def length_from_core(lam: CorePartition) -> int:
         u_low = runner - 1 if runner <= n else runner - N
         total += row_len(rows, steps[u_top]) - row_len(rows, steps[u_low])
 
+    conj = conjugate(rows)
     d = sum(
         1
         for j in range(1, k + 1)
-        if rows[j - 1] >= j and hook_length(lam, j, j) > 2 * n
+        if rows[j - 1] >= j and rows[j - 1] + conj[j - 1] - 2 * j + 1 > 2 * n
     )
     total += (1 + ctx.x0 + ctx.xn) * d
     total += sum(max(0, rows[i - 1] - i + 1 + ctx.x0) for i in range(d + 1, k + 1))

@@ -1,16 +1,23 @@
 """Brute-force oracles: breadth-first enumeration of the quotient by the
-left generator action, Bruhat order via the lifting property, and the
-generator action on a core by scanning its cells for residues.  These
-deliberately avoid the closed formulas and the abacus so they can check
-them."""
+left generator action, Bruhat order via the lifting property, the
+generator action on a core by scanning its cells for residues, and the
+core check by one hook per box.  These deliberately avoid the closed
+formulas and the abacus so they can check them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .context import GroupContext
-from .core import CorePartition, contains_box, residue_set, row_len
-from .errors import NotEnumerated
+from .core import (
+    CorePartition,
+    conjugate,
+    contains_box,
+    diagonal_boxes,
+    residue_set,
+    row_len,
+)
+from .errors import NotACore, NotEnumerated, NotSymmetric, ParityViolation
 from .window import MirroredPermutation, apply_generator_left, identity, normalize
 
 
@@ -157,3 +164,20 @@ def apply_generator_scan(lam: CorePartition, g: int) -> CorePartition:
     merged = set().union(*chosen)
     new = _shape_after(rows, merged, sign)
     return CorePartition(ctx, new)
+
+
+def validate_core_scan(lam: CorePartition) -> None:
+    """`core.validate_core` by computing the hook of every box: symmetry,
+    no hook divisible by 2n, and diagonal parity in the even families."""
+    ctx = lam.ctx
+    rows = lam.rows
+    conj = conjugate(rows)
+    if rows != conj:
+        raise NotSymmetric(f"{rows} differs from its transpose {conj}")
+    p = 2 * ctx.n
+    for i, r in enumerate(rows, start=1):
+        for j in range(1, r + 1):
+            if ((r - j) + (conj[j - 1] - i) + 1) % p == 0:
+                raise NotACore(f"hook of box ({i},{j}) divisible by {p}")
+    if ctx.is_even_family and diagonal_boxes(lam, 0) % 2 != 0:
+        raise ParityViolation("odd number of main-diagonal boxes")

@@ -13,9 +13,9 @@ from .context import GroupContext
 from .core import (
     CorePartition,
     abacus_of,
+    conjugate,
     diagonal_boxes,
     from_abacus,
-    hook_length,
     residue_set,
     row_len,
 )
@@ -90,15 +90,15 @@ def bounded_diagram(lam: CorePartition) -> set[tuple]:
     equal to the upper diagram from central peeling."""
     ctx = lam.ctx
     p = 2 * ctx.n
+    conj = conjugate(lam.rows)
     boxes = set()
-    for i in range(1, len(lam.rows) + 1):
-        if lam.rows[i - 1] < i:
+    for i, r in enumerate(lam.rows, start=1):
+        if r < i:
             continue
-        skew = sum(
-            1 for j in range(1, lam.rows[i - 1] + 1) if hook_length(lam, i, j) < p
-        )
+        # boxes (i, j) with hook (r - j) + (conj_j - i) + 1 below 2n
+        skew = sum(1 for j in range(1, r + 1) if r - j + conj[j - 1] - i + 1 < p)
         # diagonal box plus one box per skew box, clipped to the row
-        for j in range(i, min(i + skew, lam.rows[i - 1]) + 1):
+        for j in range(i, min(i + skew, r) + 1):
             boxes.add((i, j))
     if ctx.fork_at_zero:
         boxes = {(i, j) for (i, j) in boxes if j != i}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import GroupContext
-from .errors import BalanceViolation, NotMinimal, ResidueClash, ZeroResidue
+from .errors import BalanceViolation, ResidueClash, ZeroResidue
 
 
 @dataclass(frozen=True)
@@ -156,19 +156,3 @@ def normalize(w: MirroredPermutation) -> MirroredPermutation:
     entries[n - 1], entries[n] = entries[n], entries[n - 1]
     return MirroredPermutation(ctx, tuple(entries))
 
-
-def descent_class(w: MirroredPermutation, g: int) -> str:
-    """'descent', 'ascent' or 'neither' for the left action of s_g on w."""
-    if not is_minimal_coset_rep(w):
-        raise NotMinimal("descent_class requires a minimal coset representative")
-    u = normalize(apply_generator_left(w, g))
-    if u.window == w.window:
-        return "neither"
-    from .lengths import length_from_abacus
-    from .abacus import from_permutation
-
-    if length_from_abacus(from_permutation(u)) < length_from_abacus(
-        from_permutation(w)
-    ):
-        return "descent"
-    return "ascent"

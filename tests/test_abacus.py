@@ -4,10 +4,12 @@ import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import (
     active_beads,
+    apply_generator_abacus,
     bead_at,
     first_gap,
     from_permutation,
     gaps_between,
+    generator_moves,
     identity_abacus,
     is_even,
     last_bead,
@@ -17,6 +19,7 @@ from coxabacus.abacus import (
     to_permutation,
 )
 from coxabacus.errors import BalanceViolation, NotActiveBead, ParityViolation
+from coxabacus.window import generator_value
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)
@@ -106,3 +109,22 @@ def test_action_matches_window_action(tables):
             for g in ctx.generators():
                 expect = from_permutation(apply_generator_left(w, g))
                 assert cx.apply_generator_abacus(a, g).levels == expect.levels
+
+
+def test_action_is_the_runner_map(tables):
+    # each runner's lowest bead mapped through the value action of s_g
+    for (fam, n), table in tables.items():
+        ctx = cx.make_context(fam, n)
+        for w in table.elements():
+            a = from_permutation(w)
+            for g in ctx.generators():
+                levels = [0] * (2 * n)
+                for r, lvl in enumerate(a.levels, start=1):
+                    m, s = divmod(generator_value(ctx, g, lvl * ctx.N + r), ctx.N)
+                    levels[s - 1] = m
+                assert apply_generator_abacus(a, g).levels == tuple(levels)
+                assert len(generator_moves(ctx, g)) <= 4
+
+
+def test_generator_moves_cache_is_bounded():
+    assert generator_moves.cache_info().maxsize is not None

@@ -93,6 +93,24 @@ def test_filling_word_matches_peel(tables):
             assert word_from_filling(bounded_partition(lam)) == letters
 
 
+@pytest.mark.parametrize(
+    "family, n, point",
+    [
+        (Family.C_OVER_C, 3, (12, -8, 6)),
+        (Family.C_OVER_C, 2, (300, -120)),
+        (Family.B_OVER_B, 3, (10, -6, 4)),
+        (Family.B_OVER_D, 3, (9, -7, 5)),
+        (Family.D_OVER_D, 4, (8, -6, 4, 2)),
+        (Family.C_OVER_C, 8, (5, -3, 2, 0, 1, -4, 6, -1)),
+    ],
+)
+def test_filling_word_matches_peel_on_long_elements(family, n, point):
+    a = cx.from_coordinates(cx.RootPoint(cx.make_context(family, n), point))
+    letters, _ = cx.central_peel(cx.from_abacus(a))
+    assert len(letters) == cx.length_from_abacus(a)
+    assert word_from_filling(bounded_from_abacus(a)) == letters
+
+
 def test_filling_grid_shape():
     beta = make_bounded(C3, (5, 5, 4, 2, 1))
     grid = residue_filling(beta)

@@ -1,11 +1,13 @@
 import json
+import re
 import time
 
 import pytest
 
 import coxabacus.core as core
+import coxabacus as cx
 from coxabacus import Family, make_context
-from coxabacus.cli import main, parse_element
+from coxabacus.cli import main, parse_element, poset_dot
 from coxabacus.errors import NotMinimal, ParityViolation, UnknownGenerator
 
 GOLDEN = "[-11,-9,-1,8,16,18]"
@@ -192,3 +194,26 @@ def test_core_source_validates_once(capsys, monkeypatch):
     )
     assert code == 0 and out.strip() == GOLDEN
     assert len(calls) == 1
+
+
+def test_poset_edges_are_the_lifting_covers(tables):
+    # poset_dot tests adjacent layers only; the lifting oracle sees all pairs
+    for (fam, n), table in tables.items():
+        ctx = make_context(fam, n)
+        dot = poset_dot(ctx, 6)
+        label = dict(re.findall(r'(n\d+) \[label="([^"]*)"\];', dot))
+        edges = {(label[x], label[w]) for x, w in re.findall(r"(n\d+) -> (n\d+);", dot)}
+        elements = [w for w in table.elements() if table.length(w) <= 6]
+        name = {
+            w.window: str(cx.bounded_from_abacus(cx.from_permutation(w)))
+            for w in elements
+        }
+        assert sorted(label.values()) == sorted(name.values())
+        covers = {
+            (name[x.window], name[w.window])
+            for x in elements
+            for w in elements
+            if table.length(w) == table.length(x) + 1
+            and cx.bruhat_leq_lifting(table, x, w)
+        }
+        assert edges == covers

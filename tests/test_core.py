@@ -2,7 +2,9 @@ import pytest
 
 import coxabacus as cx
 from coxabacus import Family
+from coxabacus.abacus import generator_moves, size_change
 from coxabacus.core import (
+    CorePartition,
     conjugate,
     contains,
     core_size,
@@ -14,8 +16,14 @@ from coxabacus.core import (
     to_abacus,
     validate_core,
 )
-from coxabacus.errors import BoxOutside, NotACore, NotSymmetric, ParityViolation
-from coxabacus.oracle import apply_generator_scan
+from coxabacus.errors import (
+    BoxOutside,
+    CoxabacusError,
+    NotACore,
+    NotSymmetric,
+    ParityViolation,
+)
+from coxabacus.oracle import apply_generator_scan, validate_core_scan
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D5 = cx.make_context(Family.D_OVER_D, 5)
@@ -61,6 +69,10 @@ def test_hook_lengths():
 def test_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         make_core(C3, (2, 1, 1, 1))
+    # a long first row is rejected before any transpose is built
+    with pytest.raises(NotSymmetric) as err:
+        make_core(C3, (10**7,))
+    assert len(str(err.value)) < 100
 
 
 def test_rejects_bad_hook():
@@ -162,6 +174,10 @@ def test_core_size_formula(tables):
         for w in table.elements():
             a = cx.from_permutation(w)
             assert core_size(a) == sum(from_abacus(a).rows)
+            for g in a.ctx.generators():
+                moved = cx.apply_generator_abacus(a, g)
+                change = size_change(n, a.levels, generator_moves(a.ctx, g))
+                assert change == core_size(moved) - core_size(a)
 
 
 def test_contains_past_the_recursion_limit():
@@ -172,3 +188,49 @@ def test_contains_past_the_recursion_limit():
     empty = make_core(c2, ())
     assert contains(lam, empty)
     assert not contains(empty, lam)
+
+
+def _partitions(total, most):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, most), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _symmetric_partitions(max_size):
+    """Symmetric partitions by Frobenius arms a_1 > ... > a_d >= 0: row i
+    is a_i + i on the diagonal and the column count of the arms below."""
+
+    def arms(budget, below):
+        yield ()
+        for a in range(min(below, (budget - 1) // 2), -1, -1):
+            for rest in arms(budget - 2 * a - 1, a - 1):
+                yield (a,) + rest
+
+    for arm in arms(max_size, max_size):
+        top = [a + i for i, a in enumerate(arm, start=1)]
+        width = top[0] if top else 0
+        low = [sum(1 for t in top if t >= i) for i in range(len(top) + 1, width + 1)]
+        yield tuple(top + low)
+
+
+def _outcome(check, lam):
+    try:
+        check(lam)
+    except CoxabacusError as exc:
+        return type(exc)
+    return None
+
+
+def test_validate_core_matches_hook_scan(tables):
+    # every partition of size <= 22, and every symmetric one of size <= 60
+    shapes = [p for k in range(23) for p in _partitions(k, k)]
+    shapes += [p for p in _symmetric_partitions(60) if sum(p) > 22]
+    for fam, n in tables:
+        ctx = cx.make_context(fam, n)
+        for rows in shapes:
+            lam = CorePartition(ctx, rows)
+            expected = _outcome(validate_core_scan, lam)
+            assert _outcome(validate_core, lam) == expected, rows

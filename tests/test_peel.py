@@ -1,4 +1,7 @@
+import sys
+
 import coxabacus as cx
+import coxabacus.core as core
 from coxabacus import Family
 from coxabacus.peel import (
     bounded_diagram,
@@ -68,3 +71,28 @@ def test_peel_letters_start_with_zero():
     lam = cx.make_core(C3, (10, 9, 6, 5, 5, 3, 2, 2, 2, 1))
     letters, _ = central_peel(lam)
     assert letters[-1] == 0
+
+
+def test_bounded_diagram_conjugates_once(monkeypatch):
+    calls = []
+    original = core.conjugate
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    # rebind in every module that imported it, so no call goes unseen
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("coxabacus") and getattr(mod, "conjugate", None) is original:
+            monkeypatch.setattr(mod, "conjugate", counted)
+    lam = cx.make_core(C3, (10, 9, 6, 5, 5, 3, 2, 2, 2, 1))
+    calls.clear()
+    bounded_diagram(lam)
+    assert len(calls) == 1
+
+
+def test_bounded_diagram_of_a_long_element():
+    # |lambda| = 5772; one hook per box made this quadratic
+    lam = cx.from_abacus(cx.from_coordinates(cx.RootPoint(C3, (24, -16, 12))))
+    assert sum(lam.rows) == 5772
+    assert bounded_diagram(lam) == set(central_peel(lam)[1])
