@@ -153,6 +153,18 @@ def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
     return Abacus(a.ctx, move_levels(a.levels, generator_moves(a.ctx, g)))
 
 
+def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
+    """Abaci by length up to max_len: layer k+1 is the set of ascents of
+    layer k, so a layer needs no check against the earlier ones."""
+    n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
+    layers = [[identity_abacus(ctx).levels]]
+    for _ in range(max_len):
+        top = layers[-1]
+        ups = (move_levels(x, m) for x in top for m in tables if size_change(n, x, m) > 0)
+        layers.append(list(dict.fromkeys(ups)))  # distinct, in order of discovery
+    return [[Abacus(ctx, x) for x in layer] for layer in layers]
+
+
 def core_size(a: Abacus) -> int:
     """Number of boxes of the core of a: n * sum(l_r^2) + sum(r * l_r)."""
     n = a.ctx.n

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, bead_at, gaps_between, last_bead
+from .abacus import Abacus
 from .context import GroupContext
 from .core import CorePartition, abacus_of
 from .errors import MalformedBounded
@@ -79,25 +79,24 @@ def bounded_partition(lam: CorePartition) -> BoundedPartition:
 
 
 def bounded_from_abacus(a: Abacus) -> BoundedPartition:
+    """One part per bead mN+r past N, read from the last bead back.  Past
+    N+n the part is 1 + x0 + xn plus the gaps among the N positions before
+    the bead: runners s < r below level m and runners s > r below m-1."""
     ctx = a.ctx
-    N, n = ctx.N, ctx.n
-    beads = [
-        b
-        for b in range(last_bead(a), N, -1)
-        if b % N != 0 and bead_at(a, b)
-    ]
+    n, levels = ctx.n, a.levels
     parts, star = [], None
-    for b in beads:
-        if b > N + n:
-            parts.append(gaps_between(a, b - N, b) + 1 + ctx.x0 + ctx.xn)
-        else:
-            size = b - N + ctx.x0
-            if size == 0:
-                # the parity bead at N+1; it carries no boxes
+    for m in range(max(levels), 0, -1):
+        for r in range(2 * n, 0, -1):
+            if levels[r - 1] < m:
                 continue
-            parts.append(size)
-            if b == N + n and ctx.fork_at_n:
-                star = len(parts) - 1
+            if m > 1 or r > n:
+                gaps = sum(lvl < m for lvl in levels[: r - 1])
+                gaps += sum(lvl < m - 1 for lvl in levels[r:])
+                parts.append(gaps + 1 + ctx.x0 + ctx.xn)
+            elif r + ctx.x0 > 0:  # the parity bead at N+1 carries no boxes
+                parts.append(r + ctx.x0)
+                if r == n and ctx.fork_at_n:
+                    star = len(parts) - 1
     return make_bounded(ctx, parts, star)
 
 

@@ -7,14 +7,12 @@ import argparse
 import json
 import sys
 
-from .abacus import from_permutation, make_abacus, to_permutation
+from .abacus import Abacus, enumerate_abaci, from_permutation, make_abacus, to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
-from .core import abacus_of, contains_abacus, from_abacus, make_core
+from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core
 from .errors import CoxabacusError, NotMinimal
-from .lengths import length_from_abacus
-from .oracle import enumerate_quotient
 from .peel import word_to_core
 from .render import (
     render_abacus_svg,
@@ -93,14 +91,13 @@ def format_element(w: MirroredPermutation, rep: str) -> str:
     raise CoxabacusError(f"unknown representation {rep!r}")
 
 
-def element_record(w: MirroredPermutation) -> dict:
-    a = from_permutation(w)
+def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
     beta = bounded_from_abacus(a)
     return {
-        "family": w.ctx.family.value,
-        "rank": w.ctx.n,
-        "length": length_from_abacus(a),
-        "window": list(w.window),
+        "family": a.ctx.family.value,
+        "rank": a.ctx.n,
+        "length": length,
+        "window": list(window),
         "levels": list(a.levels),
         "root": list(coordinates(a).coords),
         "core": list(from_abacus(a).rows),
@@ -160,11 +157,10 @@ def cmd_enumerate(args) -> str:
     ctx = _context(args)
     if args.max_len < 0:
         raise CoxabacusError("--max-len must be nonnegative")
-    table = enumerate_quotient(ctx, args.max_len)
     lines = []
-    for layer in table.by_length:
-        for w in sorted(layer, key=lambda u: u.window):
-            lines.append(json.dumps(element_record(w)))
+    for length, layer in enumerate(_layers(ctx, args.max_len)):
+        for window, a in layer:
+            lines.append(json.dumps(element_record(a, window, length)))
     return "\n".join(lines)
 
 
@@ -184,24 +180,29 @@ def cmd_render(args) -> str:
     return render_peel_trace(lam, args.format)
 
 
-def poset_dot(ctx: GroupContext, max_len: int) -> str:
-    """Covers join adjacent length layers, so only those pairs are tested."""
-    layers = [
-        sorted(layer, key=lambda u: u.window)
-        for layer in enumerate_quotient(ctx, max_len).by_length
+def _layers(ctx: GroupContext, max_len: int) -> list[list[tuple]]:
+    """The (window, abacus) pairs of each length, sorted by window."""
+    return [
+        sorted(((to_permutation(a).window, a) for a in layer), key=lambda p: p[0])
+        for layer in enumerate_abaci(ctx, max_len)
     ]
-    elements = [w for layer in layers for w in layer]
-    ids = {w.window: f"n{k}" for k, w in enumerate(elements)}
-    abaci = {w.window: from_permutation(w) for w in elements}
+
+
+def poset_dot(ctx: GroupContext, max_len: int) -> str:
+    """Covers join adjacent length layers, so only those pairs are tested,
+    each upper element along its descent chain, built once."""
+    layers = [[a for _, a in layer] for layer in _layers(ctx, max_len)]
+    elements = [a for layer in layers for a in layer]
+    ids = {a.levels: f"n{k}" for k, a in enumerate(elements)}
     lines = ["digraph bruhat {"]
-    for w in elements:
-        label = str(bounded_from_abacus(abaci[w.window]))
-        lines.append(f'  {ids[w.window]} [label="{label}"];')
+    for a in elements:
+        lines.append(f'  {ids[a.levels]} [label="{bounded_from_abacus(a)}"];')
     for lower, upper in zip(layers, layers[1:]):
+        chains = [(ids[w.levels], descent_chain(w)) for w in upper]
         for x in lower:
-            for w in upper:
-                if contains_abacus(abaci[w.window], abaci[x.window]):
-                    lines.append(f"  {ids[x.window]} -> {ids[w.window]};")
+            for w_id, chain in chains:
+                if chain_contains(chain, x):
+                    lines.append(f"  {ids[x.levels]} -> {w_id};")
     lines.append("}")
     return "\n".join(lines)
 

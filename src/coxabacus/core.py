@@ -242,19 +242,32 @@ def contains(lam: CorePartition, mu: CorePartition) -> bool:
 
 
 def contains_abacus(a: Abacus, b: Abacus) -> bool:
-    """`contains` on level vectors: b moves down with a where it can."""
+    """`contains` on level vectors."""
+    return chain_contains(descent_chain(a), b)
+
+
+def descent_chain(a: Abacus) -> list[tuple[tuple[int, ...], tuple]]:
+    """The (levels, moves) steps of a's first descents, down to the identity."""
     tables = [generator_moves(a.ctx, g) for g in a.ctx.generators()]
-    x, y = a.levels, b.levels
-    while x != y:
-        if not any(x):
-            return False
+    chain, x = [], a.levels
+    while any(x):
         moves = next((m for m in tables if size_change(a.ctx.n, x, m) < 0), None)
         if moves is None:
             raise NotACore(f"levels {x} have no descent")
+        chain.append((x, moves))
         x = move_levels(x, moves)
-        if size_change(a.ctx.n, y, moves) < 0:
+    return chain
+
+
+def chain_contains(chain, b: Abacus) -> bool:
+    """b moves down along a descent chain where it can: below iff it meets it."""
+    y = b.levels
+    for x, moves in chain:
+        if x == y:
+            return True
+        if size_change(b.ctx.n, y, moves) < 0:
             y = move_levels(y, moves)
-    return True
+    return not any(y)
 
 
 def bruhat_leq(x: CorePartition, w: CorePartition) -> bool:

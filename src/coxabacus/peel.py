@@ -8,7 +8,7 @@ form the upper diagram and the letters form the canonical reduced word
 
 from __future__ import annotations
 
-from .abacus import apply_generator_abacus, identity_abacus
+from .abacus import Abacus, generator_moves, identity_abacus, move_levels
 from .context import GroupContext
 from .core import (
     CorePartition,
@@ -54,9 +54,10 @@ def central_peel(lam: CorePartition) -> tuple[list[int], list[tuple]]:
     vector is the state; the core is read only for the box to peel."""
     ctx = lam.ctx
     ref = reference_diagonal(ctx)
+    tables = [generator_moves(ctx, g) for g in ctx.generators()]
     letters: list[int] = []
     boxes: list[tuple] = []
-    a = abacus_of(lam)
+    levels = abacus_of(lam).levels
     cur = lam
     while cur.rows:
         d = diagonal_boxes(cur, ref)
@@ -64,8 +65,8 @@ def central_peel(lam: CorePartition) -> tuple[list[int], list[tuple]]:
             raise StuckPeel("no box on the reference diagonal")
         j = cur.rows[d - 1]
         r = _peel_letter(cur, d, j)
-        a = apply_generator_abacus(a, r)
-        nxt = from_abacus(a)
+        levels = move_levels(levels, tables[r])
+        nxt = from_abacus(Abacus(ctx, levels))
         if sum(nxt.rows) >= sum(cur.rows):
             raise StuckPeel(f"letter {r} does not shrink the partition")
         removed = list(range(row_len(nxt.rows, d) + 1, j + 1))
@@ -77,12 +78,13 @@ def central_peel(lam: CorePartition) -> tuple[list[int], list[tuple]]:
 
 def word_to_core(ctx: GroupContext, letters) -> CorePartition:
     """Rebuild the core from a word by applying letters right to left."""
-    a = identity_abacus(ctx)
+    tables = [generator_moves(ctx, g) for g in ctx.generators()]
+    levels = identity_abacus(ctx).levels
     for r in reversed(list(letters)):
         if r not in ctx.generators():
             raise UnknownGenerator(f"no generator s{r} at rank {ctx.n}")
-        a = apply_generator_abacus(a, r)
-    return from_abacus(a)
+        levels = move_levels(levels, tables[r])
+    return from_abacus(Abacus(ctx, levels))
 
 
 def bounded_diagram(lam: CorePartition) -> set[tuple]:

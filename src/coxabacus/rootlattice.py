@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .abacus import Abacus
 from .context import GroupContext
-from .errors import ParityViolation
+from .errors import BalanceViolation, ParityViolation
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ def coordinates(a: Abacus) -> RootPoint:
 
 def from_coordinates(pt: RootPoint) -> Abacus:
     ctx = pt.ctx
+    if len(pt.coords) != ctx.n:
+        raise BalanceViolation(f"need {ctx.n} coordinates")
     if ctx.is_even_family and sum(abs(c) for c in pt.coords) % 2 != 0:
         raise ParityViolation("coordinate sum of absolute values is odd")
     mirror = tuple(-c for c in reversed(pt.coords))

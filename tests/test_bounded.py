@@ -106,9 +106,13 @@ def test_filling_word_matches_peel(tables):
 )
 def test_filling_word_matches_peel_on_long_elements(family, n, point):
     a = cx.from_coordinates(cx.RootPoint(cx.make_context(family, n), point))
-    letters, _ = cx.central_peel(cx.from_abacus(a))
+    letters, boxes = cx.central_peel(cx.from_abacus(a))
     assert len(letters) == cx.length_from_abacus(a)
-    assert word_from_filling(bounded_from_abacus(a)) == letters
+    beta = bounded_from_abacus(a)
+    assert word_from_filling(beta) == letters
+    # the parts are the row sizes of the peeled upper diagram
+    rows = sorted({i for i, _ in boxes})
+    assert beta.parts == tuple(sum(1 for i, _ in boxes if i == r) for r in rows)
 
 
 def test_filling_grid_shape():

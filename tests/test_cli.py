@@ -3,12 +3,14 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coxabacus.core as core
 import coxabacus as cx
 from coxabacus import Family, make_context
-from coxabacus.cli import main, parse_element, poset_dot
-from coxabacus.errors import NotMinimal, ParityViolation, UnknownGenerator
+from coxabacus.cli import REPRESENTATIONS, format_element, main, parse_element, poset_dot
+from coxabacus.errors import CoxabacusError, NotMinimal, ParityViolation, UnknownGenerator
 
 GOLDEN = "[-11,-9,-1,8,16,18]"
 
@@ -173,6 +175,20 @@ def test_word_source_rejects_unknown_generator(word):
         parse_element(make_context(Family.C_OVER_C, 3), "word", word)
 
 
+@pytest.mark.parametrize(
+    "family, target, value",
+    [("BB", "window", "(4)"), ("CC", "levels", "(1,2,3,4)"), ("CC", "root", "(1,2,3,4)")],
+)
+def test_root_source_rejects_wrong_coordinate_count(capsys, family, target, value):
+    code, out, err = run(
+        capsys, "convert", "--family", family, "--rank", "3",
+        "--from", "root", "--to", target, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert "coordinates" in err
+
+
 def test_huge_root_point_converts_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run(
@@ -217,3 +233,59 @@ def test_poset_edges_are_the_lifting_covers(tables):
             and cx.bruhat_leq_lifting(table, x, w)
         }
         assert edges == covers
+
+
+# the benchmark's five cases: each family at its smallest rank, and C~/C n=8
+FUZZ_CASES = (
+    (Family.C_OVER_C, 2),
+    (Family.B_OVER_B, 3),
+    (Family.B_OVER_D, 3),
+    (Family.D_OVER_D, 4),
+    (Family.C_OVER_C, 8),
+)
+
+
+@st.composite
+def element_texts(draw):
+    """A case, a representation and an integer text for it, often not an
+    element: tuples for window, levels, root and core, bounded partitions
+    with an optional star, and words with letters just outside 0..n."""
+    family, n = draw(st.sampled_from(FUZZ_CASES))
+    rep = draw(st.sampled_from(REPRESENTATIONS))
+    N = 2 * n + 1
+    if rep == "bounded":
+        parts = sorted(draw(st.lists(st.integers(1, 2 * n + 1), max_size=2 * n)), reverse=True)
+        star = draw(st.none() | st.integers(0, max(len(parts) - 1, 0)))
+        text = ",".join(f"{p}*" if i == star else str(p) for i, p in enumerate(parts))
+        text = f"({text})"
+    elif rep == "word":
+        letters = draw(st.lists(st.integers(-1, n + 1), max_size=12))
+        text = " ".join(f"s{g}" for g in letters)
+    elif draw(st.booleans()):
+        entries = draw(st.lists(st.integers(-N, 2 * N), max_size=2 * n + 2))
+        text = "(" + ",".join(map(str, entries)) + ")"
+    else:  # the text of a level vector near the identity, maybe nudged
+        point = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        a = cx.Abacus(make_context(family, n), point + tuple(-c for c in reversed(point)))
+        entries = list({
+            "root": point,
+            "levels": a.levels,
+            "window": sorted(lvl * N + r for r, lvl in enumerate(a.levels, start=1)),
+            "core": cx.from_abacus(a).rows,
+        }[rep])
+        if entries and draw(st.booleans()):
+            entries[draw(st.integers(0, len(entries) - 1))] += draw(st.sampled_from((-1, 1)))
+        text = "(" + ",".join(map(str, entries)) + ")"
+    return make_context(family, n), rep, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(element_texts())
+def test_every_parser_round_trips_or_raises(case):
+    ctx, rep, text = case
+    try:
+        w = parse_element(ctx, rep, text)
+    except CoxabacusError:
+        return
+    assert cx.to_permutation(cx.from_permutation(w)).window == w.window
+    assert parse_element(ctx, rep, format_element(w, rep)).window == w.window

@@ -2,12 +2,13 @@ import pytest
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import generator_moves, size_change
+from coxabacus.abacus import generator_moves, move_levels, size_change
 from coxabacus.core import (
     CorePartition,
     conjugate,
     contains,
     core_size,
+    descent_chain,
     diagonal_boxes,
     from_abacus,
     hook_length,
@@ -178,6 +179,17 @@ def test_core_size_formula(tables):
                 moved = cx.apply_generator_abacus(a, g)
                 change = size_change(n, a.levels, generator_moves(a.ctx, g))
                 assert change == core_size(moved) - core_size(a)
+
+
+def test_descent_chain_has_one_step_per_letter(tables):
+    for (fam, n), table in tables.items():
+        for w in table.elements():
+            a = cx.from_permutation(w)
+            chain = descent_chain(a)
+            assert len(chain) == cx.length_from_abacus(a) == table.length(w)
+            if chain:
+                last, moves = chain[-1]
+                assert chain[0][0] == a.levels and not any(move_levels(last, moves))
 
 
 def test_contains_past_the_recursion_limit():

@@ -2,6 +2,7 @@ import pytest
 
 import coxabacus as cx
 from coxabacus import Family
+from coxabacus.abacus import enumerate_abaci
 from coxabacus.errors import NotEnumerated
 from coxabacus.oracle import (
     bruhat_leq_lifting,
@@ -104,3 +105,33 @@ def test_layer_sizes_match_bott_series(tables):
         ctx = cx.make_context(fam, n)
         expected = _bott_series(ctx, table.max_len)
         assert [len(layer) for layer in table.by_length] == expected
+
+
+def _level_layers(table):
+    return [{cx.from_permutation(w).levels for w in layer} for layer in table.by_length]
+
+
+def test_ascent_walk_matches_bfs(tables):
+    for (fam, n), table in tables.items():
+        walk = enumerate_abaci(cx.make_context(fam, n), 8)
+        assert [{a.levels for a in layer} for layer in walk] == _level_layers(table)
+        assert all(len({a.levels for a in layer}) == len(layer) for layer in walk)
+
+
+# the benchmark's five cases at the max lengths of its `enumerate` workload
+@pytest.mark.parametrize(
+    "family, n, max_len",
+    [
+        (Family.C_OVER_C, 2, 16),
+        (Family.B_OVER_B, 3, 13),
+        (Family.B_OVER_D, 3, 12),
+        (Family.D_OVER_D, 4, 11),
+        (Family.C_OVER_C, 8, 10),
+    ],
+)
+def test_ascent_walk_matches_bfs_at_bench_lengths(family, n, max_len):
+    ctx = cx.make_context(family, n)
+    walk = enumerate_abaci(ctx, max_len)
+    assert [{a.levels for a in layer} for layer in walk] == _level_layers(
+        enumerate_quotient(ctx, max_len)
+    )

@@ -3,6 +3,7 @@ import sys
 import coxabacus as cx
 import coxabacus.core as core
 from coxabacus import Family
+from coxabacus.abacus import generator_moves
 from coxabacus.peel import (
     bounded_diagram,
     central_peel,
@@ -96,3 +97,15 @@ def test_bounded_diagram_of_a_long_element():
     lam = cx.from_abacus(cx.from_coordinates(cx.RootPoint(C3, (24, -16, 12))))
     assert sum(lam.rows) == 5772
     assert bounded_diagram(lam) == set(central_peel(lam)[1])
+
+
+def test_word_to_core_fetches_each_move_table_once():
+    c2 = cx.make_context(Family.C_OVER_C, 2)
+    a = cx.from_coordinates(cx.RootPoint(c2, (300, -120)))
+    letters = cx.word_from_filling(cx.bounded_from_abacus(a))
+    assert len(letters) == 1437
+    before = generator_moves.cache_info()
+    lam = word_to_core(c2, letters)
+    after = generator_moves.cache_info()
+    assert cx.to_abacus(lam).levels == a.levels
+    assert (after.hits + after.misses) - (before.hits + before.misses) <= c2.n + 1
