@@ -5,14 +5,14 @@ element, with all six representations side by side."""
 import argparse
 
 from coxabacus import (
-    bounded_partition,
-    central_peel,
+    bounded_from_abacus,
     coordinates,
-    enumerate_quotient,
     from_abacus,
-    from_permutation,
     make_context,
+    to_permutation,
+    word_from_filling,
 )
+from coxabacus.abacus import enumerate_abaci
 from coxabacus.cli import FAMILY_ALIASES
 from coxabacus.render import render_word
 
@@ -25,18 +25,16 @@ def main():
     args = ap.parse_args()
 
     ctx = make_context(FAMILY_ALIASES[args.family], args.rank)
-    table = enumerate_quotient(ctx, args.max_len)
     print(f"# {ctx.family.value} rank {ctx.n}, lengths 0..{args.max_len}")
-    for w in table.elements():
-        a = from_permutation(w)
-        lam = from_abacus(a)
-        beta = bounded_partition(lam)
-        word = render_word(central_peel(lam)[0]) or "e"
-        print(
-            f"l={table.length(w):2d}  window={list(w.window)}  "
-            f"levels={list(a.levels)}  root={list(coordinates(a).coords)}  "
-            f"core={list(lam.rows)}  bounded={beta}  word={word}"
-        )
+    for length, layer in enumerate(enumerate_abaci(ctx, args.max_len)):
+        for window, a in sorted((to_permutation(a).window, a) for a in layer):
+            beta = bounded_from_abacus(a)
+            word = render_word(word_from_filling(beta)) or "e"
+            print(
+                f"l={length:2d}  window={list(window)}  "
+                f"levels={list(a.levels)}  root={list(coordinates(a).coords)}  "
+                f"core={list(from_abacus(a).rows)}  bounded={beta}  word={word}"
+            )
 
 
 if __name__ == "__main__":

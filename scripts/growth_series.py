@@ -5,7 +5,8 @@ rank above."""
 
 import argparse
 
-from coxabacus import Family, enumerate_quotient, make_context
+from coxabacus import Family, make_context
+from coxabacus.abacus import enumerate_abaci
 
 CASES = [
     (Family.C_OVER_C, 2), (Family.C_OVER_C, 3),
@@ -23,8 +24,8 @@ def main():
     header = "family  rank  " + "  ".join(f"l={k}" for k in range(args.max_len + 1))
     print(header)
     for fam, n in CASES:
-        table = enumerate_quotient(make_context(fam, n), args.max_len)
-        counts = "  ".join(f"{len(layer):3d}" for layer in table.by_length)
+        layers = enumerate_abaci(make_context(fam, n), args.max_len)
+        counts = "  ".join(f"{len(layer):3d}" for layer in layers)
         print(f"{fam.value:6}  {n:4d}  {counts}")
 
 

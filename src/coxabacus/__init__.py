@@ -33,11 +33,17 @@ from .core import (
     make_core,
     residue,
     to_abacus,
+    word_to_core,
 )
 from .errors import CoxabacusError
 from .lengths import length_from_abacus, length_from_core, length_from_rimwalk
-from .oracle import QuotientTable, bruhat_leq_lifting, enumerate_quotient
-from .peel import bounded_diagram, central_peel, word_to_core
+from .oracle import (
+    QuotientTable,
+    bounded_diagram,
+    bruhat_leq_lifting,
+    central_peel,
+    enumerate_quotient,
+)
 from .rootlattice import RootPoint, coordinates, from_coordinates, reflect
 from .window import (
     MirroredPermutation,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import GroupContext
-from .errors import BalanceViolation, NotActiveBead, NotMinimal, ParityViolation
+from .errors import BalanceViolation, NotMinimal, ParityViolation
 from .window import MirroredPermutation, generator_value, is_minimal_coset_rep, normalize
 
 
@@ -22,9 +22,6 @@ class Abacus:
 
     def level(self, runner: int) -> int:
         return self.levels[runner - 1]
-
-    def to_json(self) -> dict:
-        return {"ctx": self.ctx.to_json(), "levels": list(self.levels)}
 
 
 def runner_of(ctx: GroupContext, value: int) -> int:
@@ -99,22 +96,6 @@ def entries_between(ctx: GroupContext, lo: int, hi: int):
 def gaps_between(a: Abacus, lo: int, hi: int) -> int:
     """Number of gaps strictly between positions lo and hi."""
     return sum(1 for v in entries_between(a.ctx, lo, hi) if not bead_at(a, v))
-
-
-def active_beads(a: Abacus) -> list[int]:
-    """Beads with at least one gap before them, in increasing label order."""
-    fg = first_gap(a)
-    out = []
-    for v in range(fg + 1, last_bead(a) + 1):
-        if v % a.ctx.N != 0 and bead_at(a, v):
-            out.append(v)
-    return out
-
-
-def symmetric_gap(a: Abacus, b: int) -> int:
-    if b % a.ctx.N == 0 or not bead_at(a, b) or b <= first_gap(a):
-        raise NotActiveBead(f"{b} is not an active bead")
-    return 2 * a.ctx.N - b
 
 
 def is_even(a: Abacus) -> bool:

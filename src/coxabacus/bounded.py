@@ -18,9 +18,6 @@ class BoundedPartition:
     parts: tuple[int, ...]
     star: int | None = None  # 0-based index of the starred part
 
-    def to_json(self) -> dict:
-        return {"ctx": self.ctx.to_json(), "parts": list(self.parts), "star": self.star}
-
     def __str__(self) -> str:
         items = [
             f"{p}*" if i == self.star else str(p) for i, p in enumerate(self.parts)
@@ -37,7 +34,10 @@ def parse_bounded(ctx: GroupContext, text: str) -> BoundedPartition:
             if tok.endswith("*"):
                 star = len(parts)
                 tok = tok[:-1]
-            parts.append(int(tok))
+            try:
+                parts.append(int(tok))
+            except ValueError:
+                raise MalformedBounded(f"part {tok!r} is not an integer") from None
     return make_bounded(ctx, parts, star)
 
 

@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abacus import Abacus, enumerate_abaci, from_permutation, make_abacus, to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
-from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core
-from .errors import CoxabacusError, NotMinimal
-from .peel import word_to_core
+from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core, word_to_core
+from .errors import CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 from .render import (
     render_abacus_svg,
     render_abacus_text,
@@ -45,12 +45,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text: str) -> list[int]:
-    text = text.strip().strip("[]()")
-    return [int(t) for t in text.replace(",", " ").split()]
+    tokens = text.strip().strip("[]()").replace(",", " ").split()
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise MalformedText(f"not a list of integers: {text!r}") from None
 
 
 def _letters(text: str) -> list[int]:
-    return [int(t.lstrip("s")) for t in text.replace(",", " ").split()]
+    tokens = text.replace(",", " ").split()
+    try:
+        return [int(t.lstrip("s")) for t in tokens]
+    except ValueError:
+        raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 
 
 def parse_element(ctx: GroupContext, rep: str, value: str) -> MirroredPermutation:
@@ -155,8 +162,6 @@ def cmd_convert(args) -> str:
 
 def cmd_enumerate(args) -> str:
     ctx = _context(args)
-    if args.max_len < 0:
-        raise CoxabacusError("--max-len must be nonnegative")
     lines = []
     for length, layer in enumerate(_layers(ctx, args.max_len)):
         for window, a in layer:
@@ -182,6 +187,8 @@ def cmd_render(args) -> str:
 
 def _layers(ctx: GroupContext, max_len: int) -> list[list[tuple]]:
     """The (window, abacus) pairs of each length, sorted by window."""
+    if max_len < 0:
+        raise CoxabacusError("--max-len must be nonnegative")
     return [
         sorted(((to_permutation(a).window, a) for a in layer), key=lambda p: p[0])
         for layer in enumerate_abaci(ctx, max_len)
@@ -208,10 +215,7 @@ def poset_dot(ctx: GroupContext, max_len: int) -> str:
 
 
 def cmd_poset(args) -> str:
-    ctx = _context(args)
-    if args.max_len < 0:
-        raise CoxabacusError("--max-len must be nonnegative")
-    return poset_dot(ctx, args.max_len)
+    return poset_dot(_context(args), args.max_len)
 
 
 def main(argv=None) -> int:
@@ -224,13 +228,16 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         out = handler(args)
-    except CoxabacusError as exc:
+    except (CoxabacusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left, as `| head` does: stop quietly
+        with open(os.devnull, "w") as null:  # so the flush at exit raises nothing
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     return 0
 
 

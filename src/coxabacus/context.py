@@ -73,13 +73,6 @@ class GroupContext:
     def generators(self) -> range:
         return range(self.n + 1)
 
-    def to_json(self) -> dict:
-        return {"family": self.family.value, "n": self.n}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GroupContext":
-        return make_context(Family(obj["family"]), int(obj["n"]))
-
 
 def make_context(family: Family, n: int) -> GroupContext:
     if n < MIN_RANK[family]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abacus import Abacus, apply_generator_abacus, core_size, first_gap, generator_moves
-from .abacus import last_bead, move_levels, size_change
+from .abacus import identity_abacus, last_bead, move_levels, size_change
 from .context import GroupContext
-from .errors import BoxOutside, NotACore, NotSymmetric, ParityViolation
+from .errors import NotACore, NotSymmetric, ParityViolation, UnknownGenerator
 
 EMPTY = frozenset()
 
@@ -24,9 +24,6 @@ EMPTY = frozenset()
 class CorePartition:
     ctx: GroupContext
     rows: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"ctx": self.ctx.to_json(), "rows": list(self.rows)}
 
 
 def make_core(ctx: GroupContext, rows) -> CorePartition:
@@ -54,17 +51,6 @@ def conjugate(rows: tuple[int, ...]) -> tuple[int, ...]:
 def row_len(rows: tuple[int, ...], i: int) -> int:
     """Length of row i (1-indexed), 0 beyond the partition."""
     return rows[i - 1] if 1 <= i <= len(rows) else 0
-
-
-def contains_box(rows: tuple[int, ...], i: int, j: int) -> bool:
-    return 1 <= i <= len(rows) and 1 <= j <= rows[i - 1]
-
-
-def hook_length(lam: CorePartition, i: int, j: int) -> int:
-    if not contains_box(lam.rows, i, j):
-        raise BoxOutside(f"box ({i},{j}) outside partition")
-    conj = conjugate(lam.rows)
-    return (lam.rows[i - 1] - j) + (conj[j - 1] - i) + 1
 
 
 def diagonal_boxes(lam: CorePartition, d: int) -> int:
@@ -224,6 +210,17 @@ def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
     return from_abacus(apply_generator_abacus(abacus_of(lam), g))
 
 
+def word_to_core(ctx: GroupContext, letters) -> CorePartition:
+    """Rebuild the core from a word by applying letters right to left."""
+    tables = [generator_moves(ctx, g) for g in ctx.generators()]
+    levels = identity_abacus(ctx).levels
+    for r in reversed(list(letters)):
+        if r not in ctx.generators():
+            raise UnknownGenerator(f"no generator s{r} at rank {ctx.n}")
+        levels = move_levels(levels, tables[r])
+    return from_abacus(Abacus(ctx, levels))
+
+
 # --- Bruhat order --------------------------------------------------------
 #
 # Containment of the core diagrams is not the Bruhat order here: in the
@@ -238,12 +235,7 @@ def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
 def contains(lam: CorePartition, mu: CorePartition) -> bool:
     """Bruhat order on the elements the cores stand for: True when mu's
     element is below lam's."""
-    return contains_abacus(abacus_of(lam), abacus_of(mu))
-
-
-def contains_abacus(a: Abacus, b: Abacus) -> bool:
-    """`contains` on level vectors."""
-    return chain_contains(descent_chain(a), b)
+    return chain_contains(descent_chain(abacus_of(lam)), abacus_of(mu))
 
 
 def descent_chain(a: Abacus) -> list[tuple[tuple[int, ...], tuple]]:

@@ -33,10 +33,6 @@ class UnknownGenerator(CoxabacusError):
     """A letter outside the generator alphabet 0..n."""
 
 
-class NotActiveBead(CoxabacusError):
-    """Position is not an active bead of the abacus."""
-
-
 class NotACore(CoxabacusError):
     """Partition has a hook length divisible by 2n."""
 
@@ -45,8 +41,8 @@ class NotSymmetric(CoxabacusError):
     """Partition is not equal to its transpose."""
 
 
-class BoxOutside(CoxabacusError):
-    """Box coordinates fall outside the partition."""
+class MalformedText(CoxabacusError):
+    """Input text that does not read as a list of integers."""
 
 
 class MalformedBounded(CoxabacusError):

@@ -3,11 +3,10 @@ peeling traces.  Output is deterministic: same input, same bytes."""
 
 from __future__ import annotations
 
-from .abacus import Abacus, bead_at
-from .bounded import BoundedPartition, residue_filling
-from .core import CorePartition, apply_generator_core, residue
+from .abacus import Abacus, bead_at, generator_moves, move_levels
+from .bounded import BoundedPartition, bounded_from_abacus, residue_filling, word_from_filling
+from .core import CorePartition, abacus_of, from_abacus, residue
 from .errors import UnrenderableCombination
-from .peel import central_peel
 
 EMPTY = "(empty diagram)\n"
 
@@ -159,16 +158,19 @@ def render_bounded_svg(beta: BoundedPartition) -> str:
 # --- peeling traces ------------------------------------------------------
 
 def render_peel_trace(lam: CorePartition, fmt: str = "text") -> str:
-    """One frame per peeling step, from the full core down to empty."""
+    """One frame per letter of the canonical word, from the full core down
+    to empty; the level vector is the state."""
     if fmt not in ("text", "svg"):
         raise UnrenderableCombination(f"unknown format {fmt!r}")
-    letters, _ = central_peel(lam)
+    a = abacus_of(lam)
+    letters = word_from_filling(bounded_from_abacus(a))
     frames = []
-    cur = lam
+    cur, levels = lam, a.levels
     draw = render_core_text if fmt == "text" else render_core_svg
     for k, r in enumerate(letters):
         frames.append(f"step {k}: remove residue {r}\n{draw(cur)}")
-        cur = apply_generator_core(cur, r)
+        levels = move_levels(levels, generator_moves(a.ctx, r))
+        cur = from_abacus(Abacus(a.ctx, levels))
     frames.append(f"step {len(letters)}: identity\n{draw(cur)}")
     return "\n".join(frames)
 

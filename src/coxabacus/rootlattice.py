@@ -18,9 +18,6 @@ class RootPoint:
     ctx: GroupContext
     coords: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"ctx": self.ctx.to_json(), "coords": list(self.coords)}
-
 
 def coordinates(a: Abacus) -> RootPoint:
     return RootPoint(a.ctx, tuple(a.levels[: a.ctx.n]))

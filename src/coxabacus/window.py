@@ -19,9 +19,6 @@ class MirroredPermutation:
     ctx: GroupContext
     window: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"ctx": self.ctx.to_json(), "window": list(self.window)}
-
 
 def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
     entries = tuple(int(e) for e in entries)
@@ -46,14 +43,6 @@ def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
 
 def identity(ctx: GroupContext) -> MirroredPermutation:
     return MirroredPermutation(ctx, tuple(range(1, 2 * ctx.n + 1)))
-
-
-def evaluate(w: MirroredPermutation, k: int) -> int:
-    N = w.ctx.N
-    m, r = divmod(k, N)
-    if r == 0:
-        return k
-    return m * N + w.window[r - 1]
 
 
 def _base_image(ctx: GroupContext, g: int, r: int) -> int:

@@ -3,7 +3,6 @@ import pytest
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import (
-    active_beads,
     apply_generator_abacus,
     bead_at,
     first_gap,
@@ -15,10 +14,9 @@ from coxabacus.abacus import (
     last_bead,
     lowest_bead,
     make_abacus,
-    symmetric_gap,
     to_permutation,
 )
-from coxabacus.errors import BalanceViolation, NotActiveBead, ParityViolation
+from coxabacus.errors import BalanceViolation, ParityViolation
 from coxabacus.window import generator_value
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -39,7 +37,6 @@ def test_identity_abacus():
     assert a.levels == (0,) * 6
     assert first_gap(a) == 8
     assert last_bead(a) == 6
-    assert active_beads(a) == []
 
 
 def test_rejects_unbalanced_levels():
@@ -68,18 +65,6 @@ def test_gap_counts():
     a = identity_abacus(C3)
     assert gaps_between(a, 1, 6) == 0
     assert gaps_between(a, 6, 15) == 6  # 8..13 are all gaps, 14 skipped, 7 skipped
-
-
-def test_active_beads_symmetric_gap():
-    a = golden()
-    beads = active_beads(a)
-    assert beads and all(bead_at(a, b) for b in beads)
-    for b in beads:
-        if b > first_gap(a):
-            g = symmetric_gap(a, b)
-            assert g == 2 * C3.N - b
-    with pytest.raises(NotActiveBead):
-        symmetric_gap(a, 7)  # multiple of N
 
 
 def test_round_trip_window(tables):

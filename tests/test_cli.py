@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,7 +14,14 @@ import coxabacus.core as core
 import coxabacus as cx
 from coxabacus import Family, make_context
 from coxabacus.cli import REPRESENTATIONS, format_element, main, parse_element, poset_dot
-from coxabacus.errors import CoxabacusError, NotMinimal, ParityViolation, UnknownGenerator
+from coxabacus.errors import (
+    CoxabacusError,
+    MalformedBounded,
+    MalformedText,
+    NotMinimal,
+    ParityViolation,
+    UnknownGenerator,
+)
 
 GOLDEN = "[-11,-9,-1,8,16,18]"
 
@@ -169,10 +180,39 @@ def test_window_source_checks_parity(family, rank, window):
         parse_element(make_context(family, rank), "window", window)
 
 
-@pytest.mark.parametrize("word", ["s9", "s-1", "s0 s4"])
+@pytest.mark.parametrize("word", ["s9", "s-1", "s0 s4", "s"])
 def test_word_source_rejects_unknown_generator(word):
     with pytest.raises(UnknownGenerator):
         parse_element(make_context(Family.C_OVER_C, 3), "word", word)
+
+
+@pytest.mark.parametrize(
+    "rep, text, error",
+    [("window", "[a]", MalformedText), ("root", "(x)", MalformedText),
+     ("bounded", "(a)", MalformedBounded)],
+)
+def test_non_integer_tokens_raise_typed_errors(rep, text, error):
+    with pytest.raises(error):
+        parse_element(make_context(Family.C_OVER_C, 3), rep, text)
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["poset", "--family", "BD", "--rank", "3", "--max-len", "5"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxabacus.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 @pytest.mark.parametrize(
@@ -245,25 +285,27 @@ FUZZ_CASES = (
 )
 
 
+# tokens that are not integers: empty, letters, a bare "s", a decimal, a starred letter
+NON_INTEGERS = ("", "a", "s", "1.5", "x*")
+
+
 @st.composite
 def element_texts(draw):
-    """A case, a representation and an integer text for it, often not an
-    element: tuples for window, levels, root and core, bounded partitions
-    with an optional star, and words with letters just outside 0..n."""
+    """A case, a representation and a text for it, often not an element:
+    tuples for window, levels, root and core, bounded partitions with an
+    optional star, and words with letters just outside 0..n; sometimes
+    one token is not an integer at all."""
     family, n = draw(st.sampled_from(FUZZ_CASES))
     rep = draw(st.sampled_from(REPRESENTATIONS))
     N = 2 * n + 1
     if rep == "bounded":
         parts = sorted(draw(st.lists(st.integers(1, 2 * n + 1), max_size=2 * n)), reverse=True)
         star = draw(st.none() | st.integers(0, max(len(parts) - 1, 0)))
-        text = ",".join(f"{p}*" if i == star else str(p) for i, p in enumerate(parts))
-        text = f"({text})"
+        tokens = [f"{p}*" if i == star else str(p) for i, p in enumerate(parts)]
     elif rep == "word":
-        letters = draw(st.lists(st.integers(-1, n + 1), max_size=12))
-        text = " ".join(f"s{g}" for g in letters)
+        tokens = [f"s{g}" for g in draw(st.lists(st.integers(-1, n + 1), max_size=12))]
     elif draw(st.booleans()):
-        entries = draw(st.lists(st.integers(-N, 2 * N), max_size=2 * n + 2))
-        text = "(" + ",".join(map(str, entries)) + ")"
+        tokens = list(map(str, draw(st.lists(st.integers(-N, 2 * N), max_size=2 * n + 2))))
     else:  # the text of a level vector near the identity, maybe nudged
         point = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
         a = cx.Abacus(make_context(family, n), point + tuple(-c for c in reversed(point)))
@@ -275,7 +317,10 @@ def element_texts(draw):
         }[rep])
         if entries and draw(st.booleans()):
             entries[draw(st.integers(0, len(entries) - 1))] += draw(st.sampled_from((-1, 1)))
-        text = "(" + ",".join(map(str, entries)) + ")"
+        tokens = list(map(str, entries))
+    if draw(st.integers(0, 3)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(NON_INTEGERS)))
+    text = " ".join(tokens) if rep == "word" else "(" + ",".join(tokens) + ")"
     return make_context(family, n), rep, text
 
 

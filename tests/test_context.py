@@ -1,6 +1,6 @@
 import pytest
 
-from coxabacus import Family, GroupContext, coxeter_matrix, make_context
+from coxabacus import Family, coxeter_matrix, make_context
 from coxabacus.errors import RankTooSmall
 
 ALL_FAMILIES = list(Family)
@@ -49,12 +49,6 @@ def test_rank_minima(family, min_rank):
     assert make_context(family, min_rank).n == min_rank
     with pytest.raises(RankTooSmall):
         make_context(family, min_rank - 1)
-
-
-def test_json_round_trip():
-    for fam in ALL_FAMILIES:
-        ctx = make_context(fam, 4)
-        assert GroupContext.from_json(ctx.to_json()) == ctx
 
 
 def test_coxeter_matrix_c():

@@ -11,14 +11,12 @@ from coxabacus.core import (
     descent_chain,
     diagonal_boxes,
     from_abacus,
-    hook_length,
     make_core,
     residue,
     to_abacus,
     validate_core,
 )
 from coxabacus.errors import (
-    BoxOutside,
     CoxabacusError,
     NotACore,
     NotSymmetric,
@@ -55,16 +53,6 @@ def test_empty_core_is_identity():
 def test_conjugate():
     assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
     assert conjugate(GOLDEN_C3) == GOLDEN_C3  # symmetric
-
-
-def test_hook_lengths():
-    lam = make_core(C3, GOLDEN_C3)
-    assert hook_length(lam, 1, 1) == 10 - 1 + 10 - 1 + 1
-    for i in range(1, len(lam.rows) + 1):
-        for j in range(1, lam.rows[i - 1] + 1):
-            assert hook_length(lam, i, j) % 6 != 0
-    with pytest.raises(BoxOutside):
-        hook_length(lam, 1, 11)
 
 
 def test_rejects_asymmetric():

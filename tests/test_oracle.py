@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 
 import coxabacus as cx
@@ -135,3 +138,24 @@ def test_ascent_walk_matches_bfs_at_bench_lengths(family, n, max_len):
     assert [{a.levels for a in layer} for layer in walk] == _level_layers(
         enumerate_quotient(ctx, max_len)
     )
+
+
+PRODUCTION = (
+    "abacus", "bounded", "cli", "context", "core", "errors", "render", "rootlattice", "window",
+)
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_modules_do_not_import_the_checks(module):
+    """The oracles and the length formulas check the engine; the engine
+    never calls them, not even through a lazy import."""
+    path = pathlib.Path(cx.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"oracle", "lengths"}

@@ -4,12 +4,8 @@ import coxabacus as cx
 import coxabacus.core as core
 from coxabacus import Family
 from coxabacus.abacus import generator_moves
-from coxabacus.peel import (
-    bounded_diagram,
-    central_peel,
-    reference_diagonal,
-    word_to_core,
-)
+from coxabacus.core import word_to_core
+from coxabacus.oracle import bounded_diagram, central_peel, reference_diagonal
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
 import coxabacus as cx
+import coxabacus.render as render
 from coxabacus import Family
 from coxabacus.errors import UnrenderableCombination
+from coxabacus.oracle import central_peel
 from coxabacus.render import (
     render_abacus_svg,
     render_abacus_text,
@@ -77,12 +81,28 @@ def test_peel_trace_counts_steps():
     assert "identity" in trace
 
 
-def test_peel_trace_frames_are_word_suffixes():
-    lam = golden_core()
-    letters, _ = cx.central_peel(lam)
-    frames = render_peel_trace(lam).split("\nstep ")
+def _assert_trace_is_the_peel(lam):
+    """The trace's letters are central peeling's, and frame k draws the
+    core of the word's suffix from letter k on."""
+    letters, _ = central_peel(lam)
+    trace = render_peel_trace(lam)
+    assert re.findall(r"^step \d+: remove residue (\d+)$", trace, re.M) == list(map(str, letters))
+    frames = trace.split("\nstep ")
+    assert len(frames) == len(letters) + 1
     for k, frame in enumerate(frames):
-        assert frame.endswith(render_core_text(cx.word_to_core(C3, letters[k:])))
+        assert frame.endswith(render.render_core_text(cx.word_to_core(lam.ctx, letters[k:])))
+
+
+def test_peel_trace_frames_are_word_suffixes(tables, monkeypatch):
+    _assert_trace_is_the_peel(golden_core())
+    for table in tables.values():
+        for w in table.elements():
+            _assert_trace_is_the_peel(cx.from_abacus(cx.from_permutation(w)))
+    # 1437 letters on a core of 416,820 boxes: frames show rows, not cells
+    monkeypatch.setattr(render, "render_core_text", lambda lam: f"{lam.rows}\n")
+    c2 = cx.make_context(Family.C_OVER_C, 2)
+    long_core = cx.from_abacus(cx.from_coordinates(cx.RootPoint(c2, (300, -120))))
+    _assert_trace_is_the_peel(long_core)
 
 
 def test_peel_trace_rejects_unknown_format():
