@@ -5,6 +5,7 @@ canonical reduced words."""
 
 from .abacus import (
     Abacus,
+    abacus_from_word,
     apply_generator_abacus,
     descent_class,
     from_permutation,
@@ -65,6 +66,7 @@ __all__ = [
     "QuotientTable",
     "RootPoint",
     "abacus_from_bounded",
+    "abacus_from_word",
     "apply_generator_abacus",
     "apply_generator_core",
     "apply_generator_left",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import GroupContext
-from .errors import BalanceViolation, NotMinimal, ParityViolation
+from .errors import BalanceViolation, NotMinimal, ParityViolation, UnknownGenerator
 from .window import MirroredPermutation, generator_value, is_minimal_coset_rep, normalize
 
 
@@ -64,7 +64,7 @@ def to_permutation(a: Abacus) -> MirroredPermutation:
     if ctx.is_even_family and not is_even(a):
         raise ParityViolation("abacus is not even")
     entries = [a.levels[r - 1] * ctx.N + r for r in range(1, 2 * ctx.n + 1)]
-    return normalize(MirroredPermutation(ctx, tuple(sorted(entries))))
+    return normalize(MirroredPermutation(ctx, tuple(entries)))
 
 
 def bead_at(a: Abacus, value: int) -> bool:
@@ -132,6 +132,17 @@ def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
     """The generator action: s_g permutes runners wholesale, with a level
     shift at the affine end, so only the moved runners are rewritten."""
     return Abacus(a.ctx, move_levels(a.levels, generator_moves(a.ctx, g)))
+
+
+def abacus_from_word(ctx: GroupContext, letters) -> Abacus:
+    """The abacus of a word: its letters act on the identity right to left."""
+    n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
+    levels = identity_abacus(ctx).levels
+    for r in reversed(list(letters)):
+        if not 0 <= r <= n:
+            raise UnknownGenerator(f"no generator s{r} at rank {n}")
+        levels = move_levels(levels, tables[r])
+    return Abacus(ctx, levels)
 
 
 def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:

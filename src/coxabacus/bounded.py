@@ -1,12 +1,13 @@
 """Bounded partitions: parts of the upper diagram rows, with the star
-decoration, the abacus conversions both ways, and the residue fillings
-whose reading recovers the canonical reduced word."""
+decoration, and the residue filling whose reading is the canonical reduced
+word.  The abacus gives the parts runner by runner; the word gives the
+abacus back."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus
+from .abacus import Abacus, abacus_from_word
 from .context import GroupContext
 from .core import CorePartition, abacus_of
 from .errors import MalformedBounded
@@ -32,6 +33,8 @@ def parse_bounded(ctx: GroupContext, text: str) -> BoundedPartition:
         for tok in text.split(","):
             tok = tok.strip()
             if tok.endswith("*"):
+                if star is not None:
+                    raise MalformedBounded("more than one part is starred")
                 star = len(parts)
                 tok = tok[:-1]
             try:
@@ -101,170 +104,35 @@ def bounded_from_abacus(a: Abacus) -> BoundedPartition:
 
 
 def abacus_from_bounded(beta: BoundedPartition) -> Abacus:
-    """Rebuild the abacus by placing one bead per part: small parts go in
-    the window right of N, the window is mirror-completed, and big parts
-    are threaded below the existing beads in reading order."""
-    ctx = beta.ctx
-    N, n = ctx.N, ctx.n
-    big_min = n + 1 + ctx.x0 + ctx.xn
-    big = [
-        p for i, p in enumerate(beta.parts) if p >= big_min and i != beta.star
-    ]
-    small = [
-        p for i, p in enumerate(beta.parts) if p < big_min or i == beta.star
-    ]
-    levels: list[int | None] = [None] * (2 * n)
+    """The filling reads the canonical word, so the word rebuilds the abacus."""
+    return abacus_from_word(beta.ctx, word_from_filling(beta))
 
-    def place(value: int) -> None:
-        r = value % N
-        lvl = (value - r) // N
-        if levels[r - 1] is not None and levels[r - 1] >= lvl:
-            raise MalformedBounded("bead placement collides")
-        levels[r - 1] = lvl
-
-    for p in small:
-        place(N + p - ctx.x0)
-    if ctx.fork_at_zero and len(beta.parts) % 2 == 1:
-        place(N + 1)
-    for j in range(1, n + 1):
-        if levels[j - 1] is None or levels[j - 1] < 1:
-            place(N - j)
-
-    def is_bead(value: int) -> bool:
-        r = value % N
-        if r == 0:
-            return False
-        lvl = (value - r) // N
-        return levels[r - 1] is not None and lvl <= levels[r - 1]
-
-    def insert_at_possible(idx: int) -> None:
-        cursor = max(
-            levels[r - 1] * N + r
-            for r in range(1, 2 * n + 1)
-            if levels[r - 1] is not None
-        )
-        seen = 0
-        v = cursor
-        limit = cursor + (idx + 2) * N
-        while v < limit:
-            v += 1
-            if v % N == 0:
-                continue
-            if is_bead(v - N):
-                seen += 1
-                if seen == idx:
-                    place(v)
-                    return
-        raise MalformedBounded("no slot for big part")
-
-    for i in range(len(big) - 1, -1, -1):
-        if i == len(big) - 1:
-            idx = big[i] - (n + ctx.x0 + ctx.xn)
-        else:
-            idx = big[i] - big[i + 1] + 1
-        if idx < 1:
-            raise MalformedBounded("big parts out of order")
-        insert_at_possible(idx)
-
-    out = [0] * (2 * n)
-    for r in range(1, n + 1):
-        a = levels[r - 1]
-        b = levels[N - r - 1]
-        if a is None and b is None:
-            raise MalformedBounded("unconstrained runner pair")
-        if a is None:
-            a = -b
-        elif b is None:
-            b = -a
-        elif a + b < 0:
-            if a < -b:
-                a = -b
-            else:
-                b = -a
-        elif a + b > 0:
-            raise MalformedBounded("runner pair cannot be balanced")
-        out[r - 1], out[N - r - 1] = a, b
-    return Abacus(ctx, tuple(out))
-
-
-# --- residue fillings ----------------------------------------------------
 
 def residue_filling(beta: BoundedPartition) -> list[list[int]]:
-    ctx = beta.ctx
-    n = ctx.n
-    fam_fill = {
-        False: _fill_plain_zero,  # no fork at 0: fixed first column
-        True: _fill_fork_zero,  # fork at 0: alternating flank columns
-    }[ctx.fork_at_zero]
-    return fam_fill(beta, n)
-
-
-def _col_height(parts, c: int) -> int:
-    return sum(1 for p in parts if p >= c)
-
-
-def _alternating(parts, grid, c: int) -> None:
-    for i in range(_col_height(parts, c)):
-        grid[i][c - 1] = 0 if i % 2 == 0 else 1
-
-
-def _star_column(beta: BoundedPartition, grid, c: int, size: int, n: int) -> None:
-    """Column c carries n/(n-1) residues steered by the star on parts of
-    the given size; rows with larger parts all carry n-1."""
-    rows_of_size = [i for i, p in enumerate(beta.parts) if p == size]
-    if rows_of_size:
-        bottom = rows_of_size[-1]
-        value = n - 1 if beta.star == bottom else n
-        for step, i in enumerate(reversed(rows_of_size)):
-            grid[i][c - 1] = value if step % 2 == 0 else (2 * n - 1) - value
-    for i, p in enumerate(beta.parts):
-        if p > size:
-            grid[i][c - 1] = n - 1
-
-
-def _fill_plain_zero(beta: BoundedPartition, n: int):
-    grid = [[0] * p for p in beta.parts]
-    if beta.ctx.fork_at_n:
-        # columns: 1..n-1 -> i-1, n+1 -> n, n+2..2n-1 -> 2n-i, n steered
-        for i, p in enumerate(beta.parts):
-            for c in range(1, p + 1):
-                if c <= n - 1:
-                    grid[i][c - 1] = c - 1
-                elif c == n + 1:
-                    grid[i][c - 1] = n
-                elif c >= n + 2:
-                    grid[i][c - 1] = 2 * n - c
-        _star_column(beta, grid, n, n, n)
-    else:
-        for i, p in enumerate(beta.parts):
-            for c in range(1, p + 1):
-                grid[i][c - 1] = c - 1 if c <= n + 1 else 2 * n + 1 - c
-    return grid
-
-
-def _fill_fork_zero(beta: BoundedPartition, n: int):
-    grid = [[0] * p for p in beta.parts]
-    if beta.ctx.fork_at_n:
-        # columns: 2..n-2 -> i, n -> n, n+1..2n-3 -> 2n-i-1, n-1 steered,
-        # flanks 1 and 2n-2 alternate 0/1
-        for i, p in enumerate(beta.parts):
-            for c in range(2, p + 1):
-                if c <= n - 2:
-                    grid[i][c - 1] = c
-                elif c == n:
-                    grid[i][c - 1] = n
-                elif n + 1 <= c <= 2 * n - 3:
-                    grid[i][c - 1] = 2 * n - c - 1
-        _star_column(beta, grid, n - 1, n - 1, n)
-        _alternating(beta.parts, grid, 1)
-        _alternating(beta.parts, grid, 2 * n - 2)
-    else:
-        # columns: 2..n -> i, n+1..2n-2 -> 2n-i, flanks 1 and 2n-1 alternate
-        for i, p in enumerate(beta.parts):
-            for c in range(2, p + 1):
-                grid[i][c - 1] = c if c <= n else 2 * n - c
-        _alternating(beta.parts, grid, 1)
-        _alternating(beta.parts, grid, 2 * n - 1)
+    """Row i holds the first parts[i] entries of the C~/C row 0 1 ... n ... 1,
+    folded at each fork.  A fork at s_n turns n-1 n n-1 into one column,
+    steered by the star, followed by n; a fork at s_0 turns the leading 0 1
+    and the trailing 1 into columns that alternate 0/1 down the rows."""
+    ctx, parts = beta.ctx, beta.parts
+    n, size = ctx.n, star_size(ctx)
+    template = [*range(n + 1), *range(n - 1, 0, -1)]
+    if ctx.fork_at_n:
+        template[n - 1 : n + 2] = [n - 1, n]  # n-1 unless the row ends there
+    if ctx.fork_at_zero:
+        template[:2], template[-1] = [0], 0  # 1 on the odd rows
+    # the rows ending in the steered column alternate n, n-1 upwards from
+    # the last one, which starts at n-1 when it carries the star
+    bottom = max((i for i, p in enumerate(parts) if p == size), default=None)
+    grid = []
+    for i, p in enumerate(parts):
+        row = template[:p]
+        if ctx.fork_at_zero and i % 2:
+            row[0] = 1
+            if p == len(template):
+                row[-1] = 1
+        if p == size:
+            row[-1] = n - (bottom - i + (beta.star == bottom)) % 2
+        grid.append(row)
     return grid
 
 

@@ -8,11 +8,12 @@ import json
 import os
 import sys
 
-from .abacus import Abacus, enumerate_abaci, from_permutation, make_abacus, to_permutation
+from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, make_abacus
+from .abacus import to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
-from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core, word_to_core
+from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core
 from .errors import CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 from .render import (
     render_abacus_svg,
@@ -77,7 +78,7 @@ def parse_element(ctx: GroupContext, rep: str, value: str) -> MirroredPermutatio
     if rep == "bounded":
         return to_permutation(abacus_from_bounded(parse_bounded(ctx, value)))
     if rep == "word":
-        return to_permutation(abacus_of(word_to_core(ctx, _letters(value))))
+        return to_permutation(abacus_from_word(ctx, _letters(value)))
     raise CoxabacusError(f"unknown representation {rep!r}")
 
 

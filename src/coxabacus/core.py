@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, apply_generator_abacus, core_size, first_gap, generator_moves
-from .abacus import identity_abacus, last_bead, move_levels, size_change
+from .abacus import Abacus, abacus_from_word, apply_generator_abacus, core_size, first_gap
+from .abacus import generator_moves, last_bead, move_levels, size_change
 from .context import GroupContext
-from .errors import NotACore, NotSymmetric, ParityViolation, UnknownGenerator
+from .errors import NotACore, NotSymmetric, ParityViolation
 
 EMPTY = frozenset()
 
@@ -212,13 +212,7 @@ def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
 
 def word_to_core(ctx: GroupContext, letters) -> CorePartition:
     """Rebuild the core from a word by applying letters right to left."""
-    tables = [generator_moves(ctx, g) for g in ctx.generators()]
-    levels = identity_abacus(ctx).levels
-    for r in reversed(list(letters)):
-        if r not in ctx.generators():
-            raise UnknownGenerator(f"no generator s{r} at rank {ctx.n}")
-        levels = move_levels(levels, tables[r])
-    return from_abacus(Abacus(ctx, levels))
+    return from_abacus(abacus_from_word(ctx, letters))
 
 
 # --- Bruhat order --------------------------------------------------------

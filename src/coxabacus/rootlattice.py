@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .abacus import Abacus
 from .context import GroupContext
-from .errors import BalanceViolation, ParityViolation
+from .errors import BalanceViolation, ParityViolation, UnknownGenerator
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ def from_coordinates(pt: RootPoint) -> Abacus:
 def reflect(pt: RootPoint, g: int) -> RootPoint:
     ctx = pt.ctx
     n = ctx.n
+    if not 0 <= g <= n:
+        raise UnknownGenerator(f"no generator s{g} at rank {n}")
     a = list(pt.coords)
     if g == 0:
         if ctx.fork_at_zero:

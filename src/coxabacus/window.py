@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import GroupContext
-from .errors import BalanceViolation, ResidueClash, ZeroResidue
+from .errors import BalanceViolation, ResidueClash, UnknownGenerator, ZeroResidue
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ def _base_image(ctx: GroupContext, g: int, r: int) -> int:
 
 def generator_value(ctx: GroupContext, g: int, v: int) -> int:
     """Value of the generator s_g, as a mirrored permutation, at v."""
+    if not 0 <= g <= ctx.n:
+        raise UnknownGenerator(f"no generator s{g} at rank {ctx.n}")
     N = ctx.N
     m, r = divmod(v, N)
     if r == 0:

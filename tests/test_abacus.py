@@ -16,7 +16,7 @@ from coxabacus.abacus import (
     make_abacus,
     to_permutation,
 )
-from coxabacus.errors import BalanceViolation, ParityViolation
+from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator
 from coxabacus.window import generator_value
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -113,3 +113,25 @@ def test_action_is_the_runner_map(tables):
 
 def test_generator_moves_cache_is_bounded():
     assert generator_moves.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "family, n, g",
+    [(Family.C_OVER_C, 3, -1), (Family.C_OVER_C, 3, 4), (Family.D_OVER_D, 4, -1),
+     (Family.D_OVER_D, 4, 5)],
+)
+def test_out_of_range_generator_raises(family, n, g):
+    ctx = cx.make_context(family, n)
+    w = cx.identity(ctx)
+    a = from_permutation(w)
+    actions = (
+        lambda: apply_generator_abacus(a, g),
+        lambda: cx.apply_generator_core(cx.from_abacus(a), g),
+        lambda: cx.apply_generator_left(w, g),
+        lambda: cx.descent_class(w, g),
+        lambda: cx.reflect(cx.coordinates(a), g),
+        lambda: cx.abacus_from_word(ctx, [g]),
+    )
+    for act in actions:
+        with pytest.raises(UnknownGenerator):
+            act()

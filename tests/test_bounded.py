@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import coxabacus as cx
 from coxabacus import Family
+from coxabacus.abacus import enumerate_abaci
 from coxabacus.bounded import (
     abacus_from_bounded,
     bounded_from_abacus,
@@ -16,6 +17,7 @@ from coxabacus.bounded import (
 )
 from coxabacus.errors import MalformedBounded
 from coxabacus.window import apply_generator_left, identity, normalize
+from conftest import STANDARD_CASES
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)
@@ -110,9 +112,42 @@ def test_filling_word_matches_peel_on_long_elements(family, n, point):
     assert len(letters) == cx.length_from_abacus(a)
     beta = bounded_from_abacus(a)
     assert word_from_filling(beta) == letters
+    assert abacus_from_bounded(beta) == a
     # the parts are the row sizes of the peeled upper diagram
     rows = sorted({i for i, _ in boxes})
     assert beta.parts == tuple(sum(1 for i, _ in boxes if i == r) for r in rows)
+
+
+def valid_bounded(ctx, size):
+    """Every partition of size that make_bounded accepts, with each star."""
+    def parts(total, top):
+        if total == 0:
+            yield ()
+        for p in range(min(total, top), 0, -1):
+            for rest in parts(total - p, p):
+                yield (p, *rest)
+
+    out = set()
+    for ps in parts(size, 2 * ctx.n + ctx.x0 + ctx.xn):
+        for star in (None, *range(len(ps))):
+            try:
+                out.add(make_bounded(ctx, ps, star))
+            except MalformedBounded:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("family, n", STANDARD_CASES)
+def test_bounded_partitions_are_the_layers(family, n):
+    # the inverse walks the filling word, so it is only an inverse if the
+    # valid partitions of size k are exactly the readings of layer k
+    ctx = cx.make_context(family, n)
+    for k, layer in enumerate(enumerate_abaci(ctx, 12)):
+        read = {bounded_from_abacus(a): a for a in layer}
+        assert len(read) == len(layer)
+        assert set(read) == valid_bounded(ctx, k)
+        for beta, a in read.items():
+            assert abacus_from_bounded(beta) == a
 
 
 def test_filling_grid_shape():

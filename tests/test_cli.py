@@ -86,6 +86,17 @@ def test_convert_star_notation(capsys):
     assert out.strip() == "(3*,2)"
 
 
+@pytest.mark.parametrize("text", ["(4*,3*)", "(3*,3*)"])
+def test_bounded_source_rejects_two_stars(capsys, text):
+    code, out, err = run(
+        capsys, "convert", "--family", "BD", "--rank", "3",
+        "--from", "bounded", "--to", "bounded", text,
+    )
+    assert code == 2
+    assert out == ""
+    assert "starred" in err
+
+
 def test_enumerate_json_lines(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--family", "CC", "--rank", "2", "--max-len", "3",
@@ -292,16 +303,16 @@ NON_INTEGERS = ("", "a", "s", "1.5", "x*")
 @st.composite
 def element_texts(draw):
     """A case, a representation and a text for it, often not an element:
-    tuples for window, levels, root and core, bounded partitions with an
-    optional star, and words with letters just outside 0..n; sometimes
+    tuples for window, levels, root and core, bounded partitions with up
+    to two stars, and words with letters just outside 0..n; sometimes
     one token is not an integer at all."""
     family, n = draw(st.sampled_from(FUZZ_CASES))
     rep = draw(st.sampled_from(REPRESENTATIONS))
     N = 2 * n + 1
     if rep == "bounded":
         parts = sorted(draw(st.lists(st.integers(1, 2 * n + 1), max_size=2 * n)), reverse=True)
-        star = draw(st.none() | st.integers(0, max(len(parts) - 1, 0)))
-        tokens = [f"{p}*" if i == star else str(p) for i, p in enumerate(parts)]
+        stars = draw(st.sets(st.integers(0, max(len(parts) - 1, 0)), max_size=2))
+        tokens = [f"{p}*" if i in stars else str(p) for i, p in enumerate(parts)]
     elif rep == "word":
         tokens = [f"s{g}" for g in draw(st.lists(st.integers(-1, n + 1), max_size=12))]
     elif draw(st.booleans()):
@@ -332,5 +343,6 @@ def test_every_parser_round_trips_or_raises(case):
         w = parse_element(ctx, rep, text)
     except CoxabacusError:
         return
+    assert not (rep == "bounded" and text.count("*") > 1)
     assert cx.to_permutation(cx.from_permutation(w)).window == w.window
     assert parse_element(ctx, rep, format_element(w, rep)).window == w.window
