@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import GroupContext
-from .errors import BalanceViolation, NotMinimal, ParityViolation, UnknownGenerator
+from .errors import BalanceViolation, NotMinimal, ParityViolation, UnknownGenerator, ZeroResidue
 from .window import MirroredPermutation, generator_value, is_minimal_coset_rep, normalize
 
 
@@ -27,7 +27,7 @@ class Abacus:
 def runner_of(ctx: GroupContext, value: int) -> int:
     r = value % ctx.N
     if r == 0:
-        raise ValueError(f"no abacus entry at multiples of N: {value}")
+        raise ZeroResidue(f"no abacus entry at multiples of N: {value}")
     return r
 
 
@@ -44,7 +44,10 @@ def make_abacus(ctx: GroupContext, levels) -> Abacus:
             raise BalanceViolation(
                 f"levels of runners {i} and {ctx.N - i} do not cancel"
             )
-    return Abacus(ctx, levels)
+    a = Abacus(ctx, levels)
+    if ctx.fork_at_zero and not is_even(a):
+        raise ParityViolation("abacus is not even")
+    return a
 
 
 def identity_abacus(ctx: GroupContext) -> Abacus:
@@ -61,7 +64,7 @@ def from_permutation(w: MirroredPermutation) -> Abacus:
 
 def to_permutation(a: Abacus) -> MirroredPermutation:
     ctx = a.ctx
-    if ctx.is_even_family and not is_even(a):
+    if ctx.fork_at_zero and not is_even(a):
         raise ParityViolation("abacus is not even")
     entries = [a.levels[r - 1] * ctx.N + r for r in range(1, 2 * ctx.n + 1)]
     return normalize(MirroredPermutation(ctx, tuple(entries)))
@@ -69,10 +72,6 @@ def to_permutation(a: Abacus) -> MirroredPermutation:
 
 def bead_at(a: Abacus, value: int) -> bool:
     return level_of(a.ctx, value) <= a.level(runner_of(a.ctx, value))
-
-
-def lowest_bead(a: Abacus, runner: int) -> int:
-    return a.level(runner) * a.ctx.N + runner
 
 
 def first_gap(a: Abacus) -> int:
@@ -84,18 +83,6 @@ def first_gap(a: Abacus) -> int:
 def last_bead(a: Abacus) -> int:
     ctx = a.ctx
     return max(a.level(r) * ctx.N + r for r in range(1, 2 * ctx.n + 1))
-
-
-def entries_between(ctx: GroupContext, lo: int, hi: int):
-    """Abacus entry labels v with lo < v < hi (multiples of N carry none)."""
-    for v in range(lo + 1, hi):
-        if v % ctx.N != 0:
-            yield v
-
-
-def gaps_between(a: Abacus, lo: int, hi: int) -> int:
-    """Number of gaps strictly between positions lo and hi."""
-    return sum(1 for v in entries_between(a.ctx, lo, hi) if not bead_at(a, v))
 
 
 def is_even(a: Abacus) -> bool:
@@ -155,12 +142,6 @@ def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
         ups = (move_levels(x, m) for x in top for m in tables if size_change(n, x, m) > 0)
         layers.append(list(dict.fromkeys(ups)))  # distinct, in order of discovery
     return [[Abacus(ctx, x) for x in layer] for layer in layers]
-
-
-def core_size(a: Abacus) -> int:
-    """Number of boxes of the core of a: n * sum(l_r^2) + sum(r * l_r)."""
-    n = a.ctx.n
-    return sum(n * lvl * lvl + r * lvl for r, lvl in enumerate(a.levels, start=1))
 
 
 def descent_class(w: MirroredPermutation, g: int) -> str:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .abacus import Abacus, abacus_from_word
 from .context import GroupContext
 from .core import CorePartition, abacus_of
-from .errors import MalformedBounded
+from .errors import CoxabacusError, MalformedBounded
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,18 @@ class BoundedPartition:
         return "(" + ",".join(items) + ")"
 
 
+def unwrap(text: str, error: type[CoxabacusError] = MalformedBounded) -> str:
+    """text inside at most one enclosing () or [] pair; any other bracket raises."""
+    inner = text.strip()
+    if inner[:1] + inner[-1:] in ("()", "[]"):
+        inner = inner[1:-1]
+    if any(c in "()[]" for c in inner):
+        raise error(f"unbalanced brackets: {text!r}")
+    return inner
+
+
 def parse_bounded(ctx: GroupContext, text: str) -> BoundedPartition:
-    text = text.strip().strip("()")
+    text = unwrap(text)
     parts, star = [], None
     if text:
         for tok in text.split(","):

@@ -10,7 +10,7 @@ import sys
 
 from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, make_abacus
 from .abacus import to_permutation
-from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
+from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded, unwrap
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
 from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core
@@ -26,7 +26,7 @@ from .render import (
     render_word,
 )
 from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import MirroredPermutation, from_base_window
+from .window import from_base_window
 
 REPRESENTATIONS = ("window", "levels", "core", "bounded", "word", "root")
 
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text: str) -> list[int]:
-    tokens = text.strip().strip("[]()").replace(",", " ").split()
+    tokens = unwrap(text, MalformedText).replace(",", " ").split()
     try:
         return [int(t) for t in tokens]
     except ValueError:
@@ -61,31 +61,34 @@ def _letters(text: str) -> list[int]:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 
 
-def parse_element(ctx: GroupContext, rep: str, value: str) -> MirroredPermutation:
-    """Read one representation from text and route it to a window."""
+def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
+    """Read one representation from text into its level vector."""
     if rep == "window":
         w = from_base_window(ctx, _ints(value))
-        canonical = to_permutation(from_permutation(w))
+        a = from_permutation(w)
+        canonical = to_permutation(a)
         if canonical.window != w.window:
             raise NotMinimal(f"window is not minimal; minimal: {list(canonical.window)}")
-        return w
+        return a
     if rep == "levels":
-        return to_permutation(make_abacus(ctx, _ints(value)))
+        return make_abacus(ctx, _ints(value))
     if rep == "root":
-        return to_permutation(from_coordinates(RootPoint(ctx, tuple(_ints(value)))))
+        return from_coordinates(RootPoint(ctx, tuple(_ints(value))))
     if rep == "core":
-        return to_permutation(abacus_of(make_core(ctx, _ints(value))))
+        return abacus_of(make_core(ctx, _ints(value)))
     if rep == "bounded":
-        return to_permutation(abacus_from_bounded(parse_bounded(ctx, value)))
+        return abacus_from_bounded(parse_bounded(ctx, value))
     if rep == "word":
-        return to_permutation(abacus_from_word(ctx, _letters(value)))
+        return abacus_from_word(ctx, _letters(value))
     raise CoxabacusError(f"unknown representation {rep!r}")
 
 
-def format_element(w: MirroredPermutation, rep: str) -> str:
-    a = from_permutation(w)
+def format_element(a: Abacus, rep: str) -> str:
     if rep == "window":
-        return "[" + ",".join(str(v) for v in w.window) + "]"
+        try:  # N times the input's levels: may pass Python's int-to-text limit
+            return "[" + ",".join(str(v) for v in to_permutation(a).window) + "]"
+        except ValueError as exc:
+            raise CoxabacusError(str(exc)) from None
     if rep == "levels":
         return "(" + ",".join(str(v) for v in a.levels) + ")"
     if rep == "root":
@@ -157,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_convert(args) -> str:
     ctx = _context(args)
-    w = parse_element(ctx, args.source, args.value)
-    return format_element(w, args.target)
+    return format_element(parse_element(ctx, args.source, args.value), args.target)
 
 
 def cmd_enumerate(args) -> str:
@@ -172,8 +174,7 @@ def cmd_enumerate(args) -> str:
 
 def cmd_render(args) -> str:
     ctx = _context(args)
-    w = parse_element(ctx, args.source, args.value)
-    a = from_permutation(w)
+    a = parse_element(ctx, args.source, args.value)
     if args.what == "abacus":
         return (render_abacus_text if args.format == "text" else render_abacus_svg)(a)
     lam = from_abacus(a)
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         out = handler(args)
-    except (CoxabacusError, ValueError) as exc:
+    except CoxabacusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -50,25 +50,12 @@ class GroupContext:
         return self.family in (Family.B_OVER_D, Family.D_OVER_D)
 
     @property
-    def is_even_family(self) -> bool:
-        """Families whose abaci and cores satisfy an evenness condition."""
-        return self.fork_at_zero
-
-    @property
     def x0(self) -> int:
         return -1 if self.fork_at_zero else 0
 
     @property
     def xn(self) -> int:
         return -1 if self.fork_at_n else 0
-
-    @property
-    def has_descalators(self) -> bool:
-        return self.fork_at_zero
-
-    @property
-    def has_escalators(self) -> bool:
-        return self.fork_at_n
 
     def generators(self) -> range:
         return range(self.n + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, abacus_from_word, apply_generator_abacus, core_size, first_gap
+from .abacus import Abacus, abacus_from_word, apply_generator_abacus, first_gap
 from .abacus import generator_moves, last_bead, move_levels, size_change
 from .context import GroupContext
 from .errors import NotACore, NotSymmetric, ParityViolation
@@ -72,7 +72,7 @@ def validate_core(lam: CorePartition) -> None:
             k += 1
         if b >= -len(rows) and (k == len(rows) or rows[k] - k - 1 != b):
             raise NotACore(f"row {i} has a hook of length {p}")
-    if ctx.is_even_family and diagonal_boxes(lam, 0) % 2 != 0:
+    if ctx.fork_at_zero and diagonal_boxes(lam, 0) % 2 != 0:
         raise ParityViolation("odd number of main-diagonal boxes")
 
 
@@ -86,15 +86,6 @@ def path_label(ctx: GroupContext, u: int) -> int:
         return ctx.N + (u // p) * ctx.N + (u % p) + 1
     v = -u - 1
     return ctx.N - (v % p) - 1 - (v // p) * ctx.N
-
-
-def runner_number(ctx: GroupContext, u: int) -> int:
-    """Runner of the boundary step at diagonal index u (constant along
-    diagonals when boxes are filled with runner numbers)."""
-    p = 2 * ctx.n
-    if u >= 0:
-        return (u % p) + 1
-    return p - ((-u - 1) % p)
 
 
 def from_abacus(a: Abacus) -> CorePartition:
@@ -183,9 +174,9 @@ def residue_set(lam: CorePartition, i: int, j: int) -> frozenset:
     n = ctx.n
     p = 2 * n
     t = (j - i) % p
-    if ctx.has_escalators and t in (n - 1, n, n + 1):
+    if ctx.fork_at_n and t in (n - 1, n, n + 1):
         return _band_residue(lam.rows, lam.rows, i, j, n - 1, n, n - 1, p)
-    if ctx.has_descalators and t in (p - 1, 0, 1):
+    if ctx.fork_at_zero and t in (p - 1, 0, 1):
         if abs(j - i) <= 1:
             return _mres(i, j)
         return _band_residue(lam.rows, lam.rows, i, j, p - 1, 0, 1, p)

@@ -1,17 +1,18 @@
-"""Slow paths kept to check the level-vector engine: breadth-first
-enumeration of the quotient by the window action, Bruhat order via the
-lifting property, the generator action on a core by scanning its cells for
-residues, the core check by one hook per box, central peeling, and the
-bounded diagram read off the hooks of the core.  Peeling removes the
-component of the last box of row d, d the number of boxes on the family's
-reference diagonal, until the core is empty: the letters form the
-canonical word and the recorded boxes its upper diagram."""
+"""Slow paths kept to check the level-vector engine: the window action and
+breadth-first enumeration by it, Bruhat order via the lifting property,
+the generator action on a core by scanning its cells for residues and on
+root points by hand, the core check by one hook per box, central peeling,
+the bounded diagram read off the hooks of the core, and three length
+formulas.  Peeling removes the component of the last box of row d, d the
+number of boxes on the family's reference diagonal, until the core is
+empty: the letters form the canonical word and the recorded boxes its
+upper diagram."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abacus import Abacus, generator_moves, move_levels
+from .abacus import Abacus, bead_at, generator_moves, last_bead, move_levels, runner_of
 from .context import GroupContext
 from .core import (
     CorePartition,
@@ -23,7 +24,17 @@ from .core import (
     row_len,
 )
 from .errors import NotACore, NotEnumerated, NotSymmetric, ParityViolation, StuckPeel
-from .window import MirroredPermutation, apply_generator_left, identity, normalize
+from .errors import UnknownGenerator
+from .rootlattice import RootPoint
+from .window import MirroredPermutation, generator_value, identity, normalize
+
+
+def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
+    """s_g . w; the raw result need not satisfy the sorting condition."""
+    ctx = w.ctx
+    return MirroredPermutation(
+        ctx, tuple(generator_value(ctx, g, e) for e in w.window)
+    )
 
 
 @dataclass
@@ -188,7 +199,7 @@ def validate_core_scan(lam: CorePartition) -> None:
         for j in range(1, r + 1):
             if ((r - j) + (conj[j - 1] - i) + 1) % p == 0:
                 raise NotACore(f"hook of box ({i},{j}) divisible by {p}")
-    if ctx.is_even_family and diagonal_boxes(lam, 0) % 2 != 0:
+    if ctx.fork_at_zero and diagonal_boxes(lam, 0) % 2 != 0:
         raise ParityViolation("odd number of main-diagonal boxes")
 
 
@@ -266,3 +277,140 @@ def bounded_diagram(lam: CorePartition) -> set[tuple]:
     if ctx.fork_at_n:
         boxes = {(i, j) for (i, j) in boxes if j != i + ctx.n}
     return boxes
+
+
+def reflect(pt: RootPoint, g: int) -> RootPoint:
+    """The generator action on root points, written out per generator."""
+    ctx = pt.ctx
+    n = ctx.n
+    if not 0 <= g <= n:
+        raise UnknownGenerator(f"no generator s{g} at rank {n}")
+    a = list(pt.coords)
+    if g == 0:
+        if ctx.fork_at_zero:
+            a[0], a[1] = -a[1] + 1, -a[0] + 1
+        else:
+            a[0] = -a[0] + 1
+    elif g == n:
+        if ctx.fork_at_n:
+            a[n - 2], a[n - 1] = -a[n - 1], -a[n - 2]
+        else:
+            a[n - 1] = -a[n - 1]
+    else:
+        a[g - 1], a[g] = a[g], a[g - 1]
+    return RootPoint(ctx, tuple(a))
+
+
+def core_size(a: Abacus) -> int:
+    """Number of boxes of the core of a: n * sum(l_r^2) + sum(r * l_r)."""
+    n = a.ctx.n
+    return sum(n * lvl * lvl + r * lvl for r, lvl in enumerate(a.levels, start=1))
+
+
+# --- length formulas -----------------------------------------------------
+
+def lowest_bead(a: Abacus, runner: int) -> int:
+    return a.level(runner) * a.ctx.N + runner
+
+
+def gaps_between(a: Abacus, lo: int, hi: int) -> int:
+    """Number of gaps strictly between positions lo and hi (multiples of N
+    are no abacus entries)."""
+    return sum(1 for v in range(lo + 1, hi) if v % a.ctx.N and not bead_at(a, v))
+
+
+def runner_number(ctx: GroupContext, u: int) -> int:
+    """Runner of the boundary step at diagonal index u (constant along
+    diagonals when boxes are filled with runner numbers)."""
+    p = 2 * ctx.n
+    if u >= 0:
+        return (u % p) + 1
+    return p - ((-u - 1) % p)
+
+
+def length_from_abacus(a: Abacus) -> int:
+    """Gap counts between each pair's lowest bead and its window bead,
+    plus per-bead corrections beyond position N."""
+    ctx = a.ctx
+    N, n = ctx.N, ctx.n
+    total = 0
+    for i in range(1, n + 1):
+        big = max(lowest_bead(a, i), lowest_bead(a, N - i))
+        r = runner_of(ctx, big)
+        b = r if r >= n + 1 else N + r
+        total += gaps_between(a, min(b, big), max(b, big))
+    for v in range(N + 1, last_bead(a) + 1):
+        if v % N != 0 and bead_at(a, v):
+            total += 1 + ctx.x0 + ctx.xn if v > N + n else v - N + ctx.x0
+    return total
+
+
+def length_from_core(lam: CorePartition) -> int:
+    ctx = lam.ctx
+    n, N = ctx.n, ctx.N
+    rows = lam.rows
+    k = len(rows)
+    if all(p <= n for p in rows):
+        return sum(max(0, rows[i - 1] - i + 1 + ctx.x0) for i in range(1, k + 1))
+
+    # u values of the boundary's vertical steps, one per (possibly empty) row
+    steps = {row_len(rows, j) - j: j for j in range(1, k + 2 * n + 1)}
+
+    total = 0
+    for i in range(1, n + 1):
+        pair = {i, N - i}
+        u_top = max(u for u in steps if runner_number(ctx, u) in pair)
+        runner = runner_number(ctx, u_top)
+        u_low = runner - 1 if runner <= n else runner - N
+        total += row_len(rows, steps[u_top]) - row_len(rows, steps[u_low])
+
+    conj = conjugate(rows)
+    d = sum(
+        1
+        for j in range(1, k + 1)
+        if rows[j - 1] >= j and rows[j - 1] + conj[j - 1] - 2 * j + 1 > 2 * n
+    )
+    total += (1 + ctx.x0 + ctx.xn) * d
+    total += sum(max(0, rows[i - 1] - i + 1 + ctx.x0) for i in range(d + 1, k + 1))
+    return total
+
+
+def _rim_box(rows, u: int) -> tuple[int, int] | None:
+    """Last box of the diagonal u, which is the rim box on that diagonal."""
+    best = None
+    for i in range(1, len(rows) + 1):
+        j = i + u
+        if 1 <= j <= rows[i - 1]:
+            best = (i, j)
+    return best
+
+
+def length_from_rimwalk(lam: CorePartition) -> int:
+    ctx = lam.ctx
+    n, N = ctx.n, ctx.N
+    rows = lam.rows
+    p = 2 * n
+    total = 0
+    for i in range(1, n + 1):
+        pair = {i, N - i}
+        ends = [
+            (rows[j - 1] - j, j)
+            for j in range(1, len(rows) + 1)
+            if runner_number(ctx, rows[j - 1] - j) in pair
+        ]
+        if not ends:
+            continue
+        u_r, big_row = max(ends)
+        if u_r < 0:
+            # the pair's beads all precede the window: no bounded rows
+            continue
+        walk = range(i - 1, u_r + 1)
+        boxes = [b for u in walk if (b := _rim_box(rows, u)) is not None]
+        runner = runner_number(ctx, u_r)
+        h = sum(
+            1
+            for j in {b[0] for b in boxes}
+            if runner_number(ctx, rows[j - 1] - j) != runner
+        )
+        total += rows[big_row - 1] - big_row - h + 1
+    return total + ctx.x0 * diagonal_boxes(lam, 0) + ctx.xn * diagonal_boxes(lam, n)

@@ -86,14 +86,6 @@ def generator_value(ctx: GroupContext, g: int, v: int) -> int:
     return m * N + (N - _base_image(ctx, g, N - r))
 
 
-def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
-    """s_g . w; the raw result need not satisfy the sorting condition."""
-    ctx = w.ctx
-    return MirroredPermutation(
-        ctx, tuple(generator_value(ctx, g, e) for e in w.window)
-    )
-
-
 def _count_cond_zero(w: MirroredPermutation) -> int:
     """|{i <= 0 : w(i) >= 1}|: per window entry e, the shifts m <= -1 with
     mN + e >= 1, counted in closed form."""

@@ -3,20 +3,21 @@ import pytest
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import (
+    Abacus,
     apply_generator_abacus,
     bead_at,
     first_gap,
     from_permutation,
-    gaps_between,
     generator_moves,
     identity_abacus,
     is_even,
     last_bead,
-    lowest_bead,
     make_abacus,
+    runner_of,
     to_permutation,
 )
-from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator
+from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
+from coxabacus.oracle import gaps_between, lowest_bead
 from coxabacus.window import generator_value
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -82,8 +83,22 @@ def test_to_permutation_rejects_odd_in_even_family():
         to_permutation(make_abacus(B3, (1, 0, 0, 0, 0, -1)))
 
 
+def test_odd_levels_raise_in_even_families():
+    D4 = cx.make_context(Family.D_OVER_D, 4)
+    for ctx, levels in ((B3, (1, 0, 0, 0, 0, -1)), (D4, (0, 0, 0, 1, -1, 0, 0, 0))):
+        with pytest.raises(ParityViolation):
+            make_abacus(ctx, levels)
+        with pytest.raises(ParityViolation):  # the bare dataclass skips make_abacus
+            to_permutation(Abacus(ctx, levels))
+
+
+def test_runner_of_a_multiple_of_n_raises():
+    with pytest.raises(ZeroResidue):
+        runner_of(C3, C3.N)
+
+
 def test_action_matches_window_action(tables):
-    from coxabacus.window import apply_generator_left
+    from coxabacus.oracle import apply_generator_left
 
     for (fam, n), table in tables.items():
         ctx = cx.make_context(fam, n)

@@ -6,8 +6,8 @@ import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import from_permutation, is_even
 from coxabacus.core import diagonal_boxes
-from coxabacus.oracle import apply_generator_scan, bruhat_leq_lifting
-from coxabacus.window import apply_generator_left, family_membership, normalize
+from coxabacus.oracle import apply_generator_left, apply_generator_scan, bruhat_leq_lifting
+from coxabacus.window import family_membership, normalize
 
 
 # 1. full pipeline through all six representations, C~/C rank 3
@@ -168,7 +168,7 @@ def test_length_agreement(tables):
 def test_parity_restriction(tables):
     for (fam, n), table in tables.items():
         ctx = cx.make_context(fam, n)
-        if not ctx.is_even_family:
+        if not ctx.fork_at_zero:
             continue
         for w in table.elements():
             a = cx.from_permutation(w)

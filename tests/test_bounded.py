@@ -16,7 +16,8 @@ from coxabacus.bounded import (
     word_from_filling,
 )
 from coxabacus.errors import MalformedBounded
-from coxabacus.window import apply_generator_left, identity, normalize
+from coxabacus.oracle import apply_generator_left
+from coxabacus.window import identity, normalize
 from conftest import STANDARD_CASES
 
 C3 = cx.make_context(Family.C_OVER_C, 3)

@@ -227,6 +227,21 @@ def test_closed_stdout_exits_quietly():
 
 
 @pytest.mark.parametrize(
+    "family, source, text",
+    [("BD", "bounded", "((3,2"), ("BD", "bounded", ")3,2("), ("BB", "levels", "((1,0,0,0,0,-1"),
+     ("CC", "window", "[1,2,3,4,5,6"), ("CC", "core", "]]3,3,3")],
+)
+def test_unbalanced_brackets_exit_two(capsys, family, source, text):
+    code, out, err = run(
+        capsys, "convert", "--family", family, "--rank", "3",
+        "--from", source, "--to", "window", text,
+    )
+    assert code == 2
+    assert out == ""
+    assert "brackets" in err
+
+
+@pytest.mark.parametrize(
     "family, target, value",
     [("BB", "window", "(4)"), ("CC", "levels", "(1,2,3,4)"), ("CC", "root", "(1,2,3,4)")],
 )
@@ -249,6 +264,17 @@ def test_huge_root_point_converts_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out.strip() == "[-20999994,2,4,3,5,21000001]"
+
+
+def test_window_past_the_digit_limit_is_a_typed_error(capsys):
+    # the levels print, but the window entries are N times as long
+    code, out, err = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "root", "--to", "window", "(" + "9" * 4300 + ",0,0)",
+    )
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
 
 
 def test_core_source_validates_once(capsys, monkeypatch):
@@ -305,7 +331,8 @@ def element_texts(draw):
     """A case, a representation and a text for it, often not an element:
     tuples for window, levels, root and core, bounded partitions with up
     to two stars, and words with letters just outside 0..n; sometimes
-    one token is not an integer at all."""
+    one token is not an integer at all, and sometimes a stray bracket is
+    inserted, which must make the text fail."""
     family, n = draw(st.sampled_from(FUZZ_CASES))
     rep = draw(st.sampled_from(REPRESENTATIONS))
     N = 2 * n + 1
@@ -332,17 +359,22 @@ def element_texts(draw):
     if draw(st.integers(0, 3)) == 0:
         tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(NON_INTEGERS)))
     text = " ".join(tokens) if rep == "word" else "(" + ",".join(tokens) + ")"
-    return make_context(family, n), rep, text
+    stray = draw(st.integers(0, 5)) == 0
+    if stray:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("()[]")) + text[i:]
+    return make_context(family, n), rep, text, stray
 
 
 @settings(max_examples=400, deadline=None)
 @given(element_texts())
 def test_every_parser_round_trips_or_raises(case):
-    ctx, rep, text = case
+    ctx, rep, text, stray = case
     try:
-        w = parse_element(ctx, rep, text)
+        a = parse_element(ctx, rep, text)
     except CoxabacusError:
         return
+    assert not stray
     assert not (rep == "bounded" and text.count("*") > 1)
-    assert cx.to_permutation(cx.from_permutation(w)).window == w.window
-    assert parse_element(ctx, rep, format_element(w, rep)).window == w.window
+    assert cx.from_permutation(cx.to_permutation(a)) == a
+    assert parse_element(ctx, rep, format_element(a, rep)) == a

@@ -13,11 +13,9 @@ def test_family_table():
     bb = make_context(Family.B_OVER_B, 3)
     assert (bb.fork_at_zero, bb.fork_at_n) == (True, False)
     assert (bb.x0, bb.xn) == (-1, 0)
-    assert bb.has_descalators and not bb.has_escalators
     bd = make_context(Family.B_OVER_D, 3)
     assert (bd.fork_at_zero, bd.fork_at_n) == (False, True)
     assert (bd.x0, bd.xn) == (0, -1)
-    assert bd.has_escalators and not bd.has_descalators
     dd = make_context(Family.D_OVER_D, 4)
     assert (dd.fork_at_zero, dd.fork_at_n) == (True, True)
     assert (dd.x0, dd.xn) == (-1, -1)
@@ -27,13 +25,6 @@ def test_modulus_and_generators():
     ctx = make_context(Family.C_OVER_C, 5)
     assert ctx.N == 11
     assert list(ctx.generators()) == [0, 1, 2, 3, 4, 5]
-
-
-def test_even_families():
-    assert make_context(Family.B_OVER_B, 3).is_even_family
-    assert make_context(Family.D_OVER_D, 4).is_even_family
-    assert not make_context(Family.C_OVER_C, 2).is_even_family
-    assert not make_context(Family.B_OVER_D, 3).is_even_family
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from coxabacus.core import (
     CorePartition,
     conjugate,
     contains,
-    core_size,
     descent_chain,
     diagonal_boxes,
     from_abacus,
@@ -22,7 +21,7 @@ from coxabacus.errors import (
     NotSymmetric,
     ParityViolation,
 )
-from coxabacus.oracle import apply_generator_scan, validate_core_scan
+from coxabacus.oracle import apply_generator_scan, core_size, validate_core_scan
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D5 = cx.make_context(Family.D_OVER_D, 5)

@@ -1,6 +1,6 @@
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.lengths import (
+from coxabacus.oracle import (
     length_from_abacus,
     length_from_core,
     length_from_rimwalk,
@@ -57,7 +57,8 @@ def test_agreement_with_bfs(tables):
 
 
 def test_generator_changes_length_by_one(tables):
-    from coxabacus.window import apply_generator_left, normalize
+    from coxabacus.oracle import apply_generator_left
+    from coxabacus.window import normalize
 
     for (fam, n), table in tables.items():
         ctx = cx.make_context(fam, n)

@@ -3,7 +3,8 @@ import pytest
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.errors import ParityViolation
-from coxabacus.rootlattice import RootPoint, coordinates, from_coordinates, reflect
+from coxabacus.oracle import reflect
+from coxabacus.rootlattice import RootPoint, coordinates, from_coordinates
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)

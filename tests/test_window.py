@@ -10,10 +10,10 @@ from coxabacus.errors import (
     ResidueClash,
     ZeroResidue,
 )
+from coxabacus.oracle import apply_generator_left
 from coxabacus.window import (
     _count_cond_n,
     _count_cond_zero,
-    apply_generator_left,
     family_membership,
     from_base_window,
     identity,
