@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import GroupContext
-from .errors import BalanceViolation, NotMinimal, ParityViolation, UnknownGenerator, ZeroResidue
-from .window import MirroredPermutation, generator_value, is_minimal_coset_rep, normalize
+from .errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
+from .window import MirroredPermutation, generator_value, normalize
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,3 @@ def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
         ups = (move_levels(x, m) for x in top for m in tables if size_change(n, x, m) > 0)
         layers.append(list(dict.fromkeys(ups)))  # distinct, in order of discovery
     return [[Abacus(ctx, x) for x in layer] for layer in layers]
-
-
-def descent_class(w: MirroredPermutation, g: int) -> str:
-    """'descent', 'ascent' or 'neither' for the left action of s_g on w."""
-    if not is_minimal_coset_rep(w):
-        raise NotMinimal("descent_class requires a minimal coset representative")
-    change = size_change(w.ctx.n, from_permutation(w).levels, generator_moves(w.ctx, g))
-    return "neither" if change == 0 else "descent" if change < 0 else "ascent"

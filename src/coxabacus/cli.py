@@ -4,6 +4,7 @@ enumeration, rendering, and Bruhat poset export."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,7 +127,12 @@ def _context(args) -> GroupContext:
     return make_context(FAMILY_ALIASES[args.family], args.rank)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every
+    later one in the process.  It holds no per-call state: `parse_args`
+    returns a fresh `Namespace`, and `_Parser.error` and the help and usage
+    printers look up `sys.stderr` and `sys.stdout` when they run."""
     top = _Parser(prog="coxabacus")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -231,7 +237,7 @@ def main(argv=None) -> int:
     try:
         out = handler(args)
     except CoxabacusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:
         print(out)

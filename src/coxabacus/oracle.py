@@ -1,18 +1,19 @@
 """Slow paths kept to check the level-vector engine: the window action and
-breadth-first enumeration by it, Bruhat order via the lifting property,
-the generator action on a core by scanning its cells for residues and on
-root points by hand, the core check by one hook per box, central peeling,
-the bounded diagram read off the hooks of the core, and three length
-formulas.  Peeling removes the component of the last box of row d, d the
-number of boxes on the family's reference diagonal, until the core is
-empty: the letters form the canonical word and the recorded boxes its
-upper diagram."""
+breadth-first enumeration by it, the descent class of a window, Bruhat
+order via the lifting property, the generator action on a core by
+scanning its cells for residues and on root points by hand, the core
+check by one hook per box, central peeling, the bounded diagram read off
+the hooks of the core, and three length formulas.  Peeling removes the
+component of the last box of row d, d the number of boxes on the
+family's reference diagonal, until the core is empty: the letters form
+the canonical word and the recorded boxes its upper diagram."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abacus import Abacus, bead_at, generator_moves, last_bead, move_levels, runner_of
+from .abacus import Abacus, bead_at, from_permutation, generator_moves, last_bead, move_levels
+from .abacus import runner_of, size_change
 from .context import GroupContext
 from .core import (
     CorePartition,
@@ -23,10 +24,10 @@ from .core import (
     residue_set,
     row_len,
 )
-from .errors import NotACore, NotEnumerated, NotSymmetric, ParityViolation, StuckPeel
+from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
 from .rootlattice import RootPoint
-from .window import MirroredPermutation, generator_value, identity, normalize
+from .window import MirroredPermutation, generator_value, identity, is_minimal_coset_rep, normalize
 
 
 def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
@@ -82,6 +83,14 @@ def oracle_descents(table: QuotientTable, w: MirroredPermutation) -> set[int]:
         if u.window != w.window and table.lengths.get(u.window, lw + 1) < lw:
             out.add(g)
     return out
+
+
+def descent_class(w: MirroredPermutation, g: int) -> str:
+    """'descent', 'ascent' or 'neither' for the left action of s_g on w."""
+    if not is_minimal_coset_rep(w):
+        raise NotMinimal("descent_class requires a minimal coset representative")
+    change = size_change(w.ctx.n, from_permutation(w).levels, generator_moves(w.ctx, g))
+    return "neither" if change == 0 else "descent" if change < 0 else "ascent"
 
 
 def bruhat_leq_lifting(

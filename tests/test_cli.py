@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxabacus.cli as cli
 import coxabacus.core as core
 import coxabacus as cx
 from coxabacus import Family, make_context
@@ -165,7 +166,45 @@ def test_domain_error_exits_two(capsys):
         "--from", "window", "--to", "core", "[2,1,3,4,5,6]",
     )
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: BalanceViolation: ")
+    code, out, err = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "window", "--to", "core", "[2,1,3,4,6,5]",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NotMinimal: window is not minimal; minimal: ")
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    cached = cli.build_parser
+    assert cached() is cached()
+    group = ["--family", "CC", "--rank", "3"]
+    sequence = [
+        ["convert", *group, "--from", "window"],
+        ["convert", *group, "--from", "window", "--to", "core", GOLDEN],
+        ["render", *group, "--from", "window", "--render", "abacus", "--format", "svg", GOLDEN],
+        ["render", *group, "--from", "window", "--render", "abacus", GOLDEN],
+        ["enumerate", *group, "--max-len", "3"],
+        ["convert", *group, "--from", "window", "--to", "core", "[2,1,3,4,6,5]"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cached.__wrapped__)
+    assert cli.build_parser() is not cached()
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 2]
+    assert shared[2][1].startswith("<svg") and not shared[3][1].startswith("<svg")
 
 
 def test_rank_too_small_exits_two(capsys):
