@@ -15,7 +15,7 @@ from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded, un
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
 from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core
-from .errors import CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
+from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 from .render import (
     render_abacus_svg,
     render_abacus_text,
@@ -81,7 +81,7 @@ def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
         return abacus_from_bounded(parse_bounded(ctx, value))
     if rep == "word":
         return abacus_from_word(ctx, _letters(value))
-    raise CoxabacusError(f"unknown representation {rep!r}")
+    raise BadRequest(f"unknown representation {rep!r}")
 
 
 def format_element(a: Abacus, rep: str) -> str:
@@ -89,7 +89,7 @@ def format_element(a: Abacus, rep: str) -> str:
         try:  # N times the input's levels: may pass Python's int-to-text limit
             return "[" + ",".join(str(v) for v in to_permutation(a).window) + "]"
         except ValueError as exc:
-            raise CoxabacusError(str(exc)) from None
+            raise BadRequest(str(exc)) from None
     if rep == "levels":
         return "(" + ",".join(str(v) for v in a.levels) + ")"
     if rep == "root":
@@ -100,7 +100,7 @@ def format_element(a: Abacus, rep: str) -> str:
         return str(bounded_from_abacus(a))
     if rep == "word":
         return render_word(word_from_filling(bounded_from_abacus(a)))
-    raise CoxabacusError(f"unknown representation {rep!r}")
+    raise BadRequest(f"unknown representation {rep!r}")
 
 
 def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
@@ -196,7 +196,7 @@ def cmd_render(args) -> str:
 def _layers(ctx: GroupContext, max_len: int) -> list[list[tuple]]:
     """The (window, abacus) pairs of each length, sorted by window."""
     if max_len < 0:
-        raise CoxabacusError("--max-len must be nonnegative")
+        raise BadRequest("--max-len must be nonnegative")
     return [
         sorted(((to_permutation(a).window, a) for a in layer), key=lambda p: p[0])
         for layer in enumerate_abaci(ctx, max_len)

@@ -41,6 +41,11 @@ class NotSymmetric(CoxabacusError):
     """Partition is not equal to its transpose."""
 
 
+class BadRequest(CoxabacusError):
+    """A request outside what a command answers: a negative length bound,
+    an unknown representation name, or a window entry too long to print."""
+
+
 class MalformedText(CoxabacusError):
     """Input text that does not read as a list of integers."""
 

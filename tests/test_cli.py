@@ -16,6 +16,7 @@ import coxabacus as cx
 from coxabacus import Family, make_context
 from coxabacus.cli import REPRESENTATIONS, format_element, main, parse_element, poset_dot
 from coxabacus.errors import (
+    BadRequest,
     CoxabacusError,
     MalformedBounded,
     MalformedText,
@@ -173,6 +174,16 @@ def test_domain_error_exits_two(capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: NotMinimal: window is not minimal; minimal: ")
+    code, out, err = run(capsys, "enumerate", "--family", "CC", "--rank", "3", "--max-len", "-1")
+    assert (code, out, err) == (2, "", "error: BadRequest: --max-len must be nonnegative\n")
+
+
+def test_unknown_representation_is_a_bad_request():
+    ctx = make_context(Family.C_OVER_C, 3)
+    with pytest.raises(BadRequest, match="unknown representation 'hook'"):
+        parse_element(ctx, "hook", "(1)")
+    with pytest.raises(BadRequest, match="unknown representation 'hook'"):
+        format_element(parse_element(ctx, "levels", "(0,0,0,0,0,0)"), "hook")
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
@@ -313,6 +324,7 @@ def test_window_past_the_digit_limit_is_a_typed_error(capsys):
     )
     assert code == 2
     assert out == ""
+    assert err.startswith("error: BadRequest: ")
     assert "limit" in err
 
 
