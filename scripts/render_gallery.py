@@ -7,7 +7,7 @@ import pathlib
 
 from coxabacus import (
     Family,
-    bounded_partition,
+    bounded_from_abacus,
     from_abacus,
     from_base_window,
     from_permutation,
@@ -33,12 +33,9 @@ def main():
         ctx = make_context(fam, n)
         w = from_base_window(ctx, window)
         a = from_permutation(w)
-        lam = from_abacus(a)
         (out / f"{name}_abacus.svg").write_text(render_abacus_svg(a))
-        (out / f"{name}_core.svg").write_text(render_core_svg(lam))
-        (out / f"{name}_bounded.svg").write_text(
-            render_bounded_svg(bounded_partition(lam))
-        )
+        (out / f"{name}_core.svg").write_text(render_core_svg(from_abacus(a)))
+        (out / f"{name}_bounded.svg").write_text(render_bounded_svg(bounded_from_abacus(a)))
         print(f"{name}: wrote 3 diagrams for window {window}")
 
 

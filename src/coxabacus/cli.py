@@ -183,14 +183,13 @@ def cmd_render(args) -> str:
     a = parse_element(ctx, args.source, args.value)
     if args.what == "abacus":
         return (render_abacus_text if args.format == "text" else render_abacus_svg)(a)
-    lam = from_abacus(a)
     if args.what == "core":
-        return (render_core_text if args.format == "text" else render_core_svg)(lam)
+        return (render_core_text if args.format == "text" else render_core_svg)(from_abacus(a))
     if args.what == "bounded":
         return (
             render_bounded_text if args.format == "text" else render_bounded_svg
         )(bounded_from_abacus(a))
-    return render_peel_trace(lam, args.format)
+    return render_peel_trace(a, args.format)
 
 
 def _layers(ctx: GroupContext, max_len: int) -> list[list[tuple]]:

@@ -4,8 +4,8 @@ The boundary path of the core matches the abacus in reading order: a north
 step per bead, an east step per gap, with the center of the path (between
 entries N-1 and N+1) at the main diagonal.  Residues are fixed along
 diagonals except inside the family's active diagonal bands, where they
-depend on how the rows (or columns, below the diagonal) of the partition
-meet the band.
+depend on how the rows of the partition meet the band; below the
+diagonal they mirror those above it.
 """
 
 from __future__ import annotations
@@ -139,24 +139,16 @@ def _schematic(count: int, pos: int, hi: int, lo: int) -> frozenset:
     return table[count][pos - 1]
 
 
-def _band_residue(rows, conj, i, j, band_lo, hi, lo, p) -> frozenset:
-    """Residue of cell (i,j) inside an off-center band whose diagonals are
-    band_lo..band_lo+2 modulo p.  Above the diagonal the row of the
-    partition must end inside or just before the band for the residues to
-    be determined; below the diagonal, the column (transposed picture)."""
+def _band_residue(rows, i, j, band_lo, hi, lo, p) -> frozenset:
+    """Residue of cell (i,j), j > i, in the off-center band of diagonals
+    band_lo..band_lo+2 modulo p: determined only when row i ends inside
+    or just before the band."""
     d = j - i
-    if d > 0:
-        k = (d - band_lo) // p
-        cs = i + band_lo + k * p
-        length = row_len(rows, i)
-        if cs - 1 <= length <= cs + 2:
-            return _schematic(max(0, length - cs + 1), d - band_lo - k * p + 1, hi, lo)
-        return EMPTY
-    k = (-d - band_lo) // p
-    rs = j + band_lo + k * p
-    length = row_len(conj, j)
-    if rs - 1 <= length <= rs + 2:
-        return _schematic(max(0, length - rs + 1), -d - band_lo - k * p + 1, hi, lo)
+    k = (d - band_lo) // p
+    cs = i + band_lo + k * p
+    length = row_len(rows, i)
+    if cs - 1 <= length <= cs + 2:
+        return _schematic(max(0, length - cs + 1), d - band_lo - k * p + 1, hi, lo)
     return EMPTY
 
 
@@ -169,17 +161,19 @@ def _mres(i: int, j: int) -> frozenset:
 def residue_set(lam: CorePartition, i: int, j: int) -> frozenset:
     """Residues carried by cell (i,j): a singleton for a determined cell,
     a pair for the doubly addable/removable band cells, empty when the
-    residue is undetermined."""
+    residue is undetermined.  The core is symmetric, and so are its
+    residues: a cell below the diagonal is read as its mirror above."""
+    i, j = min(i, j), max(i, j)
     ctx = lam.ctx
     n = ctx.n
     p = 2 * n
     t = (j - i) % p
     if ctx.fork_at_n and t in (n - 1, n, n + 1):
-        return _band_residue(lam.rows, lam.rows, i, j, n - 1, n, n - 1, p)
+        return _band_residue(lam.rows, i, j, n - 1, n, n - 1, p)
     if ctx.fork_at_zero and t in (p - 1, 0, 1):
-        if abs(j - i) <= 1:
+        if j - i <= 1:
             return _mres(i, j)
-        return _band_residue(lam.rows, lam.rows, i, j, p - 1, 0, 1, p)
+        return _band_residue(lam.rows, i, j, p - 1, 0, 1, p)
     return frozenset((t,)) if t <= n else frozenset((p - t,))
 
 

@@ -63,4 +63,4 @@ class NotEnumerated(CoxabacusError):
 
 
 class UnrenderableCombination(CoxabacusError):
-    """Requested renderer does not support this input."""
+    """Unknown drawing format: the peel trace is drawn as text or svg."""
