@@ -7,6 +7,7 @@ from .abacus import (
     Abacus,
     abacus_from_word,
     apply_generator_abacus,
+    bruhat_leq,
     from_permutation,
     identity_abacus,
     is_even,
@@ -17,24 +18,13 @@ from .bounded import (
     BoundedPartition,
     abacus_from_bounded,
     bounded_from_abacus,
-    bounded_partition,
     make_bounded,
     parse_bounded,
     residue_filling,
     word_from_filling,
 )
 from .context import Family, GroupContext, coxeter_matrix, make_context
-from .core import (
-    CorePartition,
-    apply_generator_core,
-    bruhat_leq,
-    contains,
-    from_abacus,
-    make_core,
-    residue,
-    to_abacus,
-    word_to_core,
-)
+from .core import CorePartition, from_abacus, make_core, residue, to_abacus
 from .errors import CoxabacusError
 from .oracle import (
     QuotientTable,
@@ -44,19 +34,14 @@ from .oracle import (
     central_peel,
     descent_class,
     enumerate_quotient,
+    is_minimal_coset_rep,
     length_from_abacus,
     length_from_core,
     length_from_rimwalk,
     reflect,
 )
 from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import (
-    MirroredPermutation,
-    from_base_window,
-    identity,
-    is_minimal_coset_rep,
-    normalize,
-)
+from .window import MirroredPermutation, from_base_window, identity, normalize
 
 __all__ = [
     "Abacus",
@@ -71,15 +56,12 @@ __all__ = [
     "abacus_from_bounded",
     "abacus_from_word",
     "apply_generator_abacus",
-    "apply_generator_core",
     "apply_generator_left",
     "bounded_diagram",
     "bounded_from_abacus",
-    "bounded_partition",
     "bruhat_leq",
     "bruhat_leq_lifting",
     "central_peel",
-    "contains",
     "coordinates",
     "coxeter_matrix",
     "descent_class",
@@ -107,5 +89,4 @@ __all__ = [
     "to_abacus",
     "to_permutation",
     "word_from_filling",
-    "word_to_core",
 ]

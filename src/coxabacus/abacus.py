@@ -2,7 +2,9 @@
 
 The abacus is stored as a level vector: levels[r-1] is the level of the
 lowest bead on runner r, so position mN+r holds a bead iff m <= levels[r-1].
-Balance means the levels of mirrored runners r and N-r cancel.
+Balance means the levels of mirrored runners r and N-r cancel.  The level
+vector is the working state: the generator action, the walk of a word, the
+ascent walk and Bruhat order all run on it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import GroupContext
-from .errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
+from .errors import BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
 from .window import MirroredPermutation, generator_value, normalize
 
 
@@ -142,3 +144,43 @@ def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
         ups = (move_levels(x, m) for x in top for m in tables if size_change(n, x, m) > 0)
         layers.append(list(dict.fromkeys(ups)))  # distinct, in order of discovery
     return [[Abacus(ctx, x) for x in layer] for layer in layers]
+
+
+# --- Bruhat order --------------------------------------------------------
+#
+# Containment of the core diagrams is not the Bruhat order here: in the
+# families with a fork at s_n, two cores can satisfy lambda >= mu box by
+# box while the underlying elements are incomparable, because partial rows
+# inside an escalator sit on definite fork branches that must match up.
+# (Smallest case: mu = (3,3,2) inside lambda = (5,4,2,2,1) at n = 3 with
+# the fork at s_3; the elements have lengths 5 and 6 but are unrelated.)
+# So the order is computed by descent induction: x <= w iff
+# min(x, s_g x) <= s_g w for any descent g of w, grounded at the identity.
+
+def descent_chain(a: Abacus) -> list[tuple[tuple[int, ...], tuple]]:
+    """The (levels, moves) steps of a's first descents, down to the identity."""
+    tables = [generator_moves(a.ctx, g) for g in a.ctx.generators()]
+    chain, x = [], a.levels
+    while any(x):
+        moves = next((m for m in tables if size_change(a.ctx.n, x, m) < 0), None)
+        if moves is None:
+            raise NotACore(f"levels {x} have no descent")
+        chain.append((x, moves))
+        x = move_levels(x, moves)
+    return chain
+
+
+def chain_contains(chain, b: Abacus) -> bool:
+    """b moves down along a descent chain where it can: below iff it meets it."""
+    y = b.levels
+    for x, moves in chain:
+        if x == y:
+            return True
+        if size_change(b.ctx.n, y, moves) < 0:
+            y = move_levels(y, moves)
+    return not any(y)
+
+
+def bruhat_leq(x: Abacus, w: Abacus) -> bool:
+    """x <= w in Bruhat order, by walking x down w's descent chain."""
+    return chain_contains(descent_chain(w), x)

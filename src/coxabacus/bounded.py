@@ -1,7 +1,7 @@
-"""Bounded partitions: parts of the upper diagram rows, with the star
-decoration, and the residue filling whose reading is the canonical reduced
-word.  The abacus gives the parts runner by runner; the word gives the
-abacus back."""
+"""Bounded partitions, a view of the level vector: the parts of the upper
+diagram rows, with the star decoration, read off the abacus runner by
+runner, and the residue filling whose reading is the canonical reduced
+word, which walks back to the abacus."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from .abacus import Abacus, abacus_from_word
 from .context import GroupContext
-from .core import CorePartition, abacus_of
 from .errors import CoxabacusError, MalformedBounded
 
 
@@ -83,12 +82,6 @@ def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
         # canonical position: the last part of the starred size
         star = max(i for i, p in enumerate(parts) if p == parts[star])
     return BoundedPartition(ctx, parts, star)
-
-
-def bounded_partition(lam: CorePartition) -> BoundedPartition:
-    """Row sizes of the upper diagram of central peeling, read off the
-    abacus of the core."""
-    return bounded_from_abacus(abacus_of(lam))
 
 
 def bounded_from_abacus(a: Abacus) -> BoundedPartition:

@@ -9,12 +9,12 @@ import json
 import os
 import sys
 
-from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, make_abacus
-from .abacus import to_permutation
+from .abacus import Abacus, abacus_from_word, chain_contains, descent_chain, enumerate_abaci
+from .abacus import from_permutation, make_abacus, to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded, unwrap
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
-from .core import abacus_of, chain_contains, descent_chain, from_abacus, make_core
+from .core import abacus_of, from_abacus, make_core
 from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 from .render import (
     render_abacus_svg,
@@ -47,9 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text: str) -> list[int]:
-    tokens = unwrap(text, MalformedText).replace(",", " ").split()
+    fields = unwrap(text, MalformedText).split(",")
+    if len(fields) > 1 and not all(f.strip() for f in fields):
+        raise MalformedText(f"empty field between commas: {text!r}")
     try:
-        return [int(t) for t in tokens]
+        return [int(t) for f in fields for t in f.split()]
     except ValueError:
         raise MalformedText(f"not a list of integers: {text!r}") from None
 
@@ -57,7 +59,7 @@ def _ints(text: str) -> list[int]:
 def _letters(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
     try:
-        return [int(t.lstrip("s")) for t in tokens]
+        return [int(t.removeprefix("s")) for t in tokens]
     except ValueError:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 

@@ -1,4 +1,6 @@
-"""Symmetric (2n)-cores, residues, the generator action and Bruhat order.
+"""Symmetric (2n)-cores: the core check, the bijection with the abacus
+through the boundary path, and residues.  Cores are a view of the level
+vector; the generator action and Bruhat order run on the abacus.
 
 The boundary path of the core matches the abacus in reading order: a north
 step per bead, an east step per gap, with the center of the path (between
@@ -12,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus, abacus_from_word, apply_generator_abacus, first_gap
-from .abacus import generator_moves, last_bead, move_levels, size_change
+from .abacus import Abacus, first_gap, last_bead
 from .context import GroupContext
 from .errors import NotACore, NotSymmetric, ParityViolation
 
@@ -185,61 +186,3 @@ def residue(lam: CorePartition, i: int, j: int):
     if len(rs) == 1:
         return next(iter(rs))
     return tuple(sorted(rs))
-
-
-# --- generator action ----------------------------------------------------
-
-def apply_generator_core(lam: CorePartition, g: int) -> CorePartition:
-    """Add all addable g-components, or remove all removable ones: on the
-    abacus, one bead move per runner."""
-    return from_abacus(apply_generator_abacus(abacus_of(lam), g))
-
-
-def word_to_core(ctx: GroupContext, letters) -> CorePartition:
-    """Rebuild the core from a word by applying letters right to left."""
-    return from_abacus(abacus_from_word(ctx, letters))
-
-
-# --- Bruhat order --------------------------------------------------------
-#
-# Containment of the core diagrams is not the Bruhat order here: in the
-# families with a fork at s_n, two cores can satisfy lambda >= mu box by
-# box while the underlying elements are incomparable, because partial rows
-# inside an escalator sit on definite fork branches that must match up.
-# (Smallest case: mu = (3,3,2) inside lambda = (5,4,2,2,1) at n = 3 with
-# the fork at s_3; the elements have lengths 5 and 6 but are unrelated.)
-# So the order is computed by descent induction: x <= w iff
-# min(x, s_g x) <= s_g w for any descent g of w, grounded at the identity.
-
-def contains(lam: CorePartition, mu: CorePartition) -> bool:
-    """Bruhat order on the elements the cores stand for: True when mu's
-    element is below lam's."""
-    return chain_contains(descent_chain(abacus_of(lam)), abacus_of(mu))
-
-
-def descent_chain(a: Abacus) -> list[tuple[tuple[int, ...], tuple]]:
-    """The (levels, moves) steps of a's first descents, down to the identity."""
-    tables = [generator_moves(a.ctx, g) for g in a.ctx.generators()]
-    chain, x = [], a.levels
-    while any(x):
-        moves = next((m for m in tables if size_change(a.ctx.n, x, m) < 0), None)
-        if moves is None:
-            raise NotACore(f"levels {x} have no descent")
-        chain.append((x, moves))
-        x = move_levels(x, moves)
-    return chain
-
-
-def chain_contains(chain, b: Abacus) -> bool:
-    """b moves down along a descent chain where it can: below iff it meets it."""
-    y = b.levels
-    for x, moves in chain:
-        if x == y:
-            return True
-        if size_change(b.ctx.n, y, moves) < 0:
-            y = move_levels(y, moves)
-    return not any(y)
-
-
-def bruhat_leq(x: CorePartition, w: CorePartition) -> bool:
-    return contains(w, x)

@@ -1,12 +1,13 @@
 """Slow paths kept to check the level-vector engine: the window action and
-breadth-first enumeration by it, the descent class of a window, Bruhat
-order via the lifting property, the generator action on a core by
-scanning its cells for residues and on root points by hand, the core
-check by one hook per box, central peeling, the bounded diagram read off
-the hooks of the core, and three length formulas.  Peeling removes the
-component of the last box of row d, d the number of boxes on the
-family's reference diagonal, until the core is empty: the letters form
-the canonical word and the recorded boxes its upper diagram."""
+breadth-first enumeration by it, the membership and minimality tests and
+the descent class of a window, Bruhat order via the lifting property, the
+generator action on a core by scanning its cells for residues and on root
+points by hand, the core check by one hook per box, central peeling, the
+bounded diagram read off the hooks of the core, and three length
+formulas.  Peeling removes the component of the last box of row d, d the
+number of boxes on the family's reference diagonal, until the core is
+empty: the letters form the canonical word and the recorded boxes its
+upper diagram."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .core import (
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
 from .rootlattice import RootPoint
-from .window import MirroredPermutation, generator_value, identity, is_minimal_coset_rep, normalize
+from .window import MirroredPermutation, _count_cond_n, generator_value, identity, normalize
 
 
 def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
@@ -83,6 +84,32 @@ def oracle_descents(table: QuotientTable, w: MirroredPermutation) -> set[int]:
         if u.window != w.window and table.lengths.get(u.window, lw + 1) < lw:
             out.add(g)
     return out
+
+
+def _count_cond_zero(w: MirroredPermutation) -> int:
+    """|{i <= 0 : w(i) >= 1}|: per window entry e, the shifts m <= -1 with
+    mN + e >= 1, counted in closed form."""
+    return sum(max(0, (e - 1) // w.ctx.N) for e in w.window)
+
+
+def family_membership(w: MirroredPermutation) -> bool:
+    ctx = w.ctx
+    if ctx.fork_at_zero and _count_cond_zero(w) % 2 != 0:
+        return False
+    if ctx.fork_at_n and _count_cond_n(w) % 2 != 0:
+        return False
+    return True
+
+
+def is_minimal_coset_rep(w: MirroredPermutation) -> bool:
+    n = w.ctx.n
+    win = w.window
+    if any(win[i] >= win[i + 1] for i in range(n - 1)):
+        return False
+    if w.ctx.fork_at_n:
+        # positions n and n+2 must increase; n+2 exists since n >= 2
+        return win[n - 1] < win[n + 1]
+    return win[n - 1] < win[n]
 
 
 def descent_class(w: MirroredPermutation, g: int) -> str:

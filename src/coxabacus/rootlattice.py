@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import Abacus
+from .abacus import Abacus, make_abacus
 from .context import GroupContext
-from .errors import BalanceViolation, ParityViolation
+from .errors import BalanceViolation
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,4 @@ def from_coordinates(pt: RootPoint) -> Abacus:
     ctx = pt.ctx
     if len(pt.coords) != ctx.n:
         raise BalanceViolation(f"need {ctx.n} coordinates")
-    if ctx.fork_at_zero and sum(abs(c) for c in pt.coords) % 2 != 0:
-        raise ParityViolation("coordinate sum of absolute values is odd")
-    mirror = tuple(-c for c in reversed(pt.coords))
-    return Abacus(ctx, pt.coords + mirror)
+    return make_abacus(ctx, pt.coords + tuple(-c for c in reversed(pt.coords)))

@@ -86,12 +86,6 @@ def generator_value(ctx: GroupContext, g: int, v: int) -> int:
     return m * N + (N - _base_image(ctx, g, N - r))
 
 
-def _count_cond_zero(w: MirroredPermutation) -> int:
-    """|{i <= 0 : w(i) >= 1}|: per window entry e, the shifts m <= -1 with
-    mN + e >= 1, counted in closed form."""
-    return sum(max(0, (e - 1) // w.ctx.N) for e in w.window)
-
-
 def _count_cond_n(w: MirroredPermutation) -> int:
     """|{i <= n : w(i) >= n+1}|: per window position r, the shifts m with
     mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
@@ -99,26 +93,6 @@ def _count_cond_n(w: MirroredPermutation) -> int:
     return sum(
         max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(w.window, start=1)
     )
-
-
-def family_membership(w: MirroredPermutation) -> bool:
-    ctx = w.ctx
-    if ctx.fork_at_zero and _count_cond_zero(w) % 2 != 0:
-        return False
-    if ctx.fork_at_n and _count_cond_n(w) % 2 != 0:
-        return False
-    return True
-
-
-def is_minimal_coset_rep(w: MirroredPermutation) -> bool:
-    n = w.ctx.n
-    win = w.window
-    if any(win[i] >= win[i + 1] for i in range(n - 1)):
-        return False
-    if w.ctx.fork_at_n:
-        # positions n and n+2 must increase; n+2 exists since n >= 2
-        return win[n - 1] < win[n + 1]
-    return win[n - 1] < win[n]
 
 
 def normalize(w: MirroredPermutation) -> MirroredPermutation:

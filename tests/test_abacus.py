@@ -141,7 +141,6 @@ def test_out_of_range_generator_raises(family, n, g):
     a = from_permutation(w)
     actions = (
         lambda: apply_generator_abacus(a, g),
-        lambda: cx.apply_generator_core(cx.from_abacus(a), g),
         lambda: cx.apply_generator_left(w, g),
         lambda: cx.descent_class(w, g),
         lambda: cx.reflect(cx.coordinates(a), g),

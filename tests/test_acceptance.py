@@ -1,13 +1,18 @@
 """End-to-end acceptance suite: golden worked examples for each family,
 then the exhaustive laws (round trips, action commutation, Bruhat order,
-length agreement, parity) over BFS-enumerated elements."""
+length agreement, parity) over BFS-enumerated elements, and the README's
+library quick start as written."""
+
+import pathlib
+import re
 
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import from_permutation, is_even
 from coxabacus.core import diagonal_boxes
 from coxabacus.oracle import apply_generator_left, apply_generator_scan, bruhat_leq_lifting
-from coxabacus.window import family_membership, normalize
+from coxabacus.oracle import family_membership
+from coxabacus.window import normalize
 
 
 # 1. full pipeline through all six representations, C~/C rank 3
@@ -19,7 +24,7 @@ def test_golden_pipeline_c3():
     assert cx.coordinates(a).coords == (1, 2, -2)
     lam = cx.from_abacus(a)
     assert lam.rows == (10, 9, 6, 5, 5, 3, 2, 2, 2, 1)
-    beta = cx.bounded_partition(lam)
+    beta = cx.bounded_from_abacus(a)
     assert beta.parts == (5, 5, 4, 2, 1)
     assert beta.star is None
     letters, boxes = cx.central_peel(lam)
@@ -34,7 +39,8 @@ def test_golden_pipeline_c3():
 def test_golden_d5():
     ctx = cx.make_context(Family.D_OVER_D, 5)
     w = cx.from_base_window(ctx, [-12, -7, -5, 2, 3, 8, 9, 16, 18, 23])
-    lam = cx.from_abacus(cx.from_permutation(w))
+    a = cx.from_permutation(w)
+    lam = cx.from_abacus(a)
     assert lam.rows == (11, 8, 7, 4, 3, 3, 3, 2, 1, 1, 1)
     expected = {
         0: "descent",
@@ -46,7 +52,7 @@ def test_golden_d5():
     }
     for g, cls in expected.items():
         assert cx.descent_class(w, g) == cls
-    shrunk = cx.apply_generator_core(lam, 0)
+    shrunk = cx.from_abacus(cx.apply_generator_abacus(a, 0))
     assert sum(lam.rows) - sum(shrunk.rows) == 4
 
 
@@ -91,13 +97,13 @@ def test_round_trips(tables):
             lam = cx.from_abacus(a)
             assert cx.to_abacus(lam).levels == a.levels
             assert cx.from_coordinates(cx.coordinates(a)).levels == a.levels
-            beta = cx.bounded_partition(lam)
+            beta = cx.bounded_from_abacus(a)
             assert cx.abacus_from_bounded(beta).levels == a.levels
             letters, boxes = cx.central_peel(lam)
             # the parts are the row sizes of the peeled upper diagram
             rows = sorted({i for i, _ in boxes})
             assert beta.parts == tuple(sum(1 for i, _ in boxes if i == r) for r in rows)
-            assert cx.word_to_core(ctx, letters).rows == lam.rows
+            assert cx.abacus_from_word(ctx, letters).levels == a.levels
             # re-validate the window through the public constructor
             assert cx.from_base_window(ctx, w.window).window == w.window
 
@@ -118,12 +124,9 @@ def test_action_commutation(tables):
                     from_permutation(moved).levels
                 )
                 u = normalize(moved)
-                assert cx.apply_generator_core(lam, g).rows == (
-                    cx.from_abacus(cx.from_permutation(u)).rows
-                )
-                assert apply_generator_scan(lam, g).rows == (
-                    cx.apply_generator_core(lam, g).rows
-                )
+                core = cx.from_abacus(cx.apply_generator_abacus(a, g))
+                assert core.rows == cx.from_abacus(cx.from_permutation(u)).rows
+                assert apply_generator_scan(lam, g).rows == core.rows
                 assert cx.reflect(cx.coordinates(a), g).coords == (
                     cx.coordinates(cx.apply_generator_abacus(a, g)).coords
                 )
@@ -138,14 +141,15 @@ def test_bounded_diagram_is_peel_set(tables):
             assert cx.bounded_diagram(lam) == set(boxes)
 
 
-# 9. the core order agrees with the lifting-lemma oracle, all pairs l <= 6
+# 9. Bruhat order on the abacus agrees with the lifting-lemma oracle, all
+# pairs l <= 6
 def test_bruhat_equivalence(tables):
     for (fam, n), table in tables.items():
         elements = [w for w in table.elements() if table.length(w) <= 6]
-        cores = {w.window: cx.from_abacus(cx.from_permutation(w)) for w in elements}
+        abaci = {w.window: cx.from_permutation(w) for w in elements}
         for x in elements:
             for w in elements:
-                assert cx.contains(cores[w.window], cores[x.window]) == (
+                assert cx.bruhat_leq(abaci[x.window], abaci[w.window]) == (
                     bruhat_leq_lifting(table, x, w)
                 )
 
@@ -176,3 +180,11 @@ def test_parity_restriction(tables):
             lam = cx.from_abacus(a)
             assert diagonal_boxes(lam, 0) % 2 == 0
             assert family_membership(w)
+
+
+# 12. the README's library quick start runs as written
+def test_readme_quick_start():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})

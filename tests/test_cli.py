@@ -247,6 +247,30 @@ def test_word_source_rejects_unknown_generator(word):
         parse_element(make_context(Family.C_OVER_C, 3), "word", word)
 
 
+@pytest.mark.parametrize("word", ["ss1 s0", "s1 sss0"])
+def test_word_source_strips_one_s(capsys, word):
+    code, out, err = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "word", "--to", "word", word,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: UnknownGenerator: ")
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [("levels", "[1,,2,-2,2,-2,-1]"), ("levels", "(1,2,-2,2,-2,-1,)"), ("root", "(,1,2,-2)"),
+     ("window", "[-11,-9,-1,8,16,18,]"), ("core", "(10,9,6,5,5,3,2,2,2,1,,)")],
+)
+def test_integer_lists_reject_empty_fields(capsys, source, text):
+    code, out, err = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", source, "--to", "levels", text,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: MalformedText: empty field between commas")
+
+
 @pytest.mark.parametrize(
     "rep, text, error",
     [("window", "[a]", MalformedText), ("root", "(x)", MalformedText),

@@ -2,12 +2,10 @@ import pytest
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import generator_moves, move_levels, size_change
+from coxabacus.abacus import bruhat_leq, descent_chain, generator_moves, move_levels, size_change
 from coxabacus.core import (
     CorePartition,
     conjugate,
-    contains,
-    descent_chain,
     diagonal_boxes,
     from_abacus,
     make_core,
@@ -91,62 +89,56 @@ def test_residue_d5_figure_cell():
 
 def test_apply_generator_neither_fixes():
     w = cx.from_base_window(D5, [-12, -7, -5, 2, 3, 8, 9, 16, 18, 23])
-    lam = from_abacus(cx.from_permutation(w))
-    assert cx.apply_generator_core(lam, 2).rows == lam.rows
-    assert cx.apply_generator_core(lam, 5).rows == lam.rows
+    a = cx.from_permutation(w)
+    lam = from_abacus(a)
+    assert cx.apply_generator_abacus(a, 2) == a
+    assert cx.apply_generator_abacus(a, 5) == a
     for g in D5.generators():
-        assert cx.apply_generator_core(lam, g) == apply_generator_scan(lam, g)
+        assert from_abacus(cx.apply_generator_abacus(a, g)) == apply_generator_scan(lam, g)
 
 
 def test_contains_reflexive_and_grounded(tables):
     for (fam, n), table in tables.items():
-        empty = make_core(cx.make_context(fam, n), ())
+        e = cx.identity_abacus(cx.make_context(fam, n))
         for w in table.elements():
             if table.length(w) > 5:
                 continue
-            lam = from_abacus(cx.from_permutation(w))
-            assert contains(lam, lam)
-            assert contains(lam, empty)
-            assert cx.bruhat_leq(empty, lam)
+            a = cx.from_permutation(w)
+            assert bruhat_leq(a, a)
+            assert bruhat_leq(e, a)
 
 
 def test_contains_respects_length(tables):
     for (fam, n), table in tables.items():
         elements = [w for w in table.elements() if table.length(w) <= 5]
-        cores = {w.window: from_abacus(cx.from_permutation(w)) for w in elements}
+        abaci = {w.window: cx.from_permutation(w) for w in elements}
         for x in elements:
             for w in elements:
-                if contains(cores[w.window], cores[x.window]):
+                if bruhat_leq(abaci[x.window], abaci[w.window]):
                     assert table.length(x) <= table.length(w)
 
 
 def test_contains_is_partial_order(tables):
     for (fam, n), table in tables.items():
         elements = [w for w in table.elements() if table.length(w) <= 5]
-        cores = [from_abacus(cx.from_permutation(w)) for w in elements]
-        rel = {
-            (a.rows, b.rows)
-            for a in cores
-            for b in cores
-            if contains(b, a)
-        }
-        for a in cores:
-            for b in cores:
-                if (a.rows, b.rows) in rel and (b.rows, a.rows) in rel:
-                    assert a.rows == b.rows
-                for c in cores:
-                    if (a.rows, b.rows) in rel and (b.rows, c.rows) in rel:
-                        assert (a.rows, c.rows) in rel
+        abaci = [cx.from_permutation(w) for w in elements]
+        rel = {(a.levels, b.levels) for a in abaci for b in abaci if bruhat_leq(a, b)}
+        for a in abaci:
+            for b in abaci:
+                if (a.levels, b.levels) in rel and (b.levels, a.levels) in rel:
+                    assert a.levels == b.levels
+                for c in abaci:
+                    if (a.levels, b.levels) in rel and (b.levels, c.levels) in rel:
+                        assert (a.levels, c.levels) in rel
 
 
 def test_covers_of_identity(tables):
     for (fam, n), table in tables.items():
-        ctx = cx.make_context(fam, n)
-        empty = make_core(ctx, ())
+        e = cx.identity_abacus(cx.make_context(fam, n))
         layer1 = [w for w in table.elements() if table.length(w) == 1]
         assert len(layer1) == 1  # only s_0 leaves the finite subgroup
-        lam = from_abacus(cx.from_permutation(layer1[0]))
-        assert contains(lam, empty) and not contains(empty, lam)
+        a = cx.from_permutation(layer1[0])
+        assert bruhat_leq(e, a) and not bruhat_leq(a, e)
 
 
 def test_diagonal_boxes():
@@ -183,10 +175,9 @@ def test_contains_past_the_recursion_limit():
     c2 = cx.make_context(Family.C_OVER_C, 2)
     a = cx.from_coordinates(cx.RootPoint(c2, (300, -120)))
     assert cx.length_from_abacus(a) == 1437
-    lam = from_abacus(a)
-    empty = make_core(c2, ())
-    assert contains(lam, empty)
-    assert not contains(empty, lam)
+    e = cx.identity_abacus(c2)
+    assert bruhat_leq(e, a)
+    assert not bruhat_leq(a, e)
 
 
 def _partitions(total, most):

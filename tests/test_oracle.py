@@ -11,6 +11,8 @@ from coxabacus.oracle import (
     apply_generator_left,
     bruhat_leq_lifting,
     enumerate_quotient,
+    family_membership,
+    is_minimal_coset_rep,
     oracle_descents,
 )
 from coxabacus.window import identity, normalize
@@ -39,8 +41,6 @@ def test_identity_is_layer_zero(tables):
 
 
 def test_elements_are_minimal_reps(tables):
-    from coxabacus.window import family_membership, is_minimal_coset_rep
-
     for (fam, n), table in tables.items():
         for w in table.elements():
             assert is_minimal_coset_rep(w)

@@ -3,8 +3,7 @@ import sys
 import coxabacus as cx
 import coxabacus.core as core
 from coxabacus import Family
-from coxabacus.abacus import generator_moves
-from coxabacus.core import word_to_core
+from coxabacus.abacus import abacus_from_word, generator_moves
 from coxabacus.oracle import bounded_diagram, central_peel, reference_diagonal
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -37,7 +36,7 @@ def test_word_to_core_round_trip(tables):
         for w in table.elements():
             lam = cx.from_abacus(cx.from_permutation(w))
             letters, _ = central_peel(lam)
-            assert word_to_core(ctx, letters).rows == lam.rows
+            assert cx.from_abacus(abacus_from_word(ctx, letters)).rows == lam.rows
 
 
 def test_word_is_reduced(tables):
@@ -95,13 +94,13 @@ def test_bounded_diagram_of_a_long_element():
     assert bounded_diagram(lam) == set(central_peel(lam)[1])
 
 
-def test_word_to_core_fetches_each_move_table_once():
+def test_abacus_from_word_fetches_each_move_table_once():
     c2 = cx.make_context(Family.C_OVER_C, 2)
     a = cx.from_coordinates(cx.RootPoint(c2, (300, -120)))
     letters = cx.word_from_filling(cx.bounded_from_abacus(a))
     assert len(letters) == 1437
     before = generator_moves.cache_info()
-    lam = word_to_core(c2, letters)
+    b = abacus_from_word(c2, letters)
     after = generator_moves.cache_info()
-    assert cx.to_abacus(lam).levels == a.levels
+    assert b == a
     assert (after.hits + after.misses) - (before.hits + before.misses) <= c2.n + 1

@@ -63,7 +63,7 @@ def test_svg_outputs_well_formed():
     for out in (
         render_abacus_svg(a),
         render_core_svg(golden_core()),
-        render_bounded_svg(cx.bounded_partition(golden_core())),
+        render_bounded_svg(cx.bounded_from_abacus(a)),
     ):
         assert out.startswith("<svg")
         assert out.rstrip().endswith("</svg>")
@@ -86,7 +86,8 @@ def _assert_trace_is_the_peel(lam):
     frames = trace.split("\nstep ")
     assert len(frames) == len(letters) + 1
     for k, frame in enumerate(frames):
-        assert frame.endswith(render.render_core_text(cx.word_to_core(lam.ctx, letters[k:])))
+        core = cx.from_abacus(cx.abacus_from_word(lam.ctx, letters[k:]))
+        assert frame.endswith(render.render_core_text(core))
 
 
 def test_peel_trace_frames_are_word_suffixes(tables, monkeypatch):

@@ -10,16 +10,13 @@ from coxabacus.errors import (
     ResidueClash,
     ZeroResidue,
 )
-from coxabacus.oracle import apply_generator_left
-from coxabacus.window import (
-    _count_cond_n,
+from coxabacus.oracle import (
     _count_cond_zero,
+    apply_generator_left,
     family_membership,
-    from_base_window,
-    identity,
     is_minimal_coset_rep,
-    normalize,
 )
+from coxabacus.window import _count_cond_n, from_base_window, identity, normalize
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)
