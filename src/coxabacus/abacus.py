@@ -156,6 +156,7 @@ def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
 # the fork at s_3; the elements have lengths 5 and 6 but are unrelated.)
 # So the order is computed by descent induction: x <= w iff
 # min(x, s_g x) <= s_g w for any descent g of w, grounded at the identity.
+# One layer at a time, the same rule gives the covers: see lower_covers.
 
 def descent_chain(a: Abacus) -> list[tuple[tuple[int, ...], tuple]]:
     """The (levels, moves) steps of a's first descents, down to the identity."""
@@ -184,3 +185,16 @@ def chain_contains(chain, b: Abacus) -> bool:
 def bruhat_leq(x: Abacus, w: Abacus) -> bool:
     """x <= w in Bruhat order, by walking x down w's descent chain."""
     return chain_contains(descent_chain(w), x)
+
+
+def lower_covers(layers) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Bruhat lower covers by level vector: w covers w' = s_g w for its first
+    descent g, and s_g y for each cover y of w' of which g is an ascent."""
+    ctx, covers = layers[0][0].ctx, {layers[0][0].levels: []}  # the identity
+    n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
+    for w in (a.levels for layer in layers[1:] for a in layer):
+        moves = next(m for m in tables if size_change(n, w, m) < 0)
+        down = move_levels(w, moves)
+        ups = (move_levels(y, moves) for y in covers[down] if size_change(n, y, moves) > 0)
+        covers[w] = [down, *ups]
+    return covers

@@ -9,8 +9,8 @@ import json
 import os
 import sys
 
-from .abacus import Abacus, abacus_from_word, chain_contains, descent_chain, enumerate_abaci
-from .abacus import from_permutation, make_abacus, to_permutation
+from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, lower_covers
+from .abacus import make_abacus, to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded, unwrap
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context
@@ -57,9 +57,11 @@ def _ints(text: str) -> list[int]:
 
 
 def _letters(text: str) -> list[int]:
-    tokens = text.replace(",", " ").split()
+    fields = text.split(",")
+    if len(fields) > 1 and not all(f.strip() for f in fields):
+        raise MalformedText(f"empty field between commas: {text!r}")
     try:
-        return [int(t.removeprefix("s")) for t in tokens]
+        return [int(t.removeprefix("s")) for f in fields for t in f.split()]
     except ValueError:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 
@@ -205,22 +207,16 @@ def _layers(ctx: GroupContext, max_len: int) -> list[list[tuple]]:
 
 
 def poset_dot(ctx: GroupContext, max_len: int) -> str:
-    """Covers join adjacent length layers, so only those pairs are tested,
-    each upper element along its descent chain, built once."""
+    """Covers join adjacent length layers; `abacus.lower_covers` reads each
+    element's covers off those of the element one descent below it."""
     layers = [[a for _, a in layer] for layer in _layers(ctx, max_len)]
     elements = [a for layer in layers for a in layer]
-    ids = {a.levels: f"n{k}" for k, a in enumerate(elements)}
+    ids = {a.levels: k for k, a in enumerate(elements)}
+    edges = sorted((ids[y], ids[w]) for w, ys in lower_covers(layers).items() for y in ys)
     lines = ["digraph bruhat {"]
-    for a in elements:
-        lines.append(f'  {ids[a.levels]} [label="{bounded_from_abacus(a)}"];')
-    for lower, upper in zip(layers, layers[1:]):
-        chains = [(ids[w.levels], descent_chain(w)) for w in upper]
-        for x in lower:
-            for w_id, chain in chains:
-                if chain_contains(chain, x):
-                    lines.append(f"  {ids[x.levels]} -> {w_id};")
-    lines.append("}")
-    return "\n".join(lines)
+    lines += [f'  n{k} [label="{bounded_from_abacus(a)}"];' for k, a in enumerate(elements)]
+    lines += [f"  n{x} -> n{w};" for x, w in edges]
+    return "\n".join(lines + ["}"])
 
 
 def cmd_poset(args) -> str:

@@ -271,6 +271,25 @@ def test_integer_lists_reject_empty_fields(capsys, source, text):
     assert err.startswith("error: MalformedText: empty field between commas")
 
 
+@pytest.mark.parametrize("word", ["s1,,s0", "s1 s0,", ",s1", ","])
+def test_words_reject_empty_fields(capsys, word):
+    code, out, err = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "word", "--to", "word", word,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: MalformedText: empty field between commas")
+
+
+@pytest.mark.parametrize("word, canonical", [("", ""), ("s1,s0", "s1 s0"), ("s1, s0", "s1 s0")])
+def test_words_keep_commas_and_the_empty_word(capsys, word, canonical):
+    code, out, _ = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "word", "--to", "word", word,
+    )
+    assert (code, out) == (0, canonical + "\n")
+
+
 @pytest.mark.parametrize(
     "rep, text, error",
     [("window", "[a]", MalformedText), ("root", "(x)", MalformedText),
@@ -385,6 +404,29 @@ def test_poset_edges_are_the_lifting_covers(tables):
             and cx.bruhat_leq_lifting(table, x, w)
         }
         assert edges == covers
+
+
+@pytest.mark.parametrize(
+    "family, n, max_len",
+    [("CC", 2, 15), ("BB", 3, 11), ("BD", 3, 10), ("DD", 4, 8), ("CC", 8, 8),
+     ("CC", 3, 16), ("BD", 4, 12)],
+)
+def test_poset_covers_are_the_adjacent_layer_pairs(family, n, max_len):
+    # the oracle is the pair loop: bruhat_leq on every pair of adjacent layers
+    ctx = make_context(cli.FAMILY_ALIASES[family], n)
+    layers = [[a for _, a in layer] for layer in cli._layers(ctx, max_len)]
+    elements = [a.levels for layer in layers for a in layer]
+    pairs = [
+        (x.levels, w.levels)
+        for lower, upper in zip(layers, layers[1:])
+        for x in lower
+        for w in upper
+        if cx.bruhat_leq(x, w)
+    ]
+    dot = poset_dot(ctx, max_len)
+    edges = [(int(x), int(w)) for x, w in re.findall(r"n(\d+) -> n(\d+);", dot)]
+    assert edges == sorted(edges)
+    assert [(elements[x], elements[w]) for x, w in edges] == pairs
 
 
 # the benchmark's five cases: each family at its smallest rank, and C~/C n=8
