@@ -1,6 +1,9 @@
+import dataclasses
+import pickle
+
 import pytest
 
-from coxabacus import Family, coxeter_matrix, make_context
+from coxabacus import Family, GroupContext, coxeter_matrix, make_context
 from coxabacus.errors import RankTooSmall
 
 ALL_FAMILIES = list(Family)
@@ -68,3 +71,32 @@ def test_symmetry_of_matrix():
         for i in range(5):
             for j in range(5):
                 assert m[i][j] == m[j][i]
+
+
+def test_context_identity_is_family_and_rank():
+    ctx = make_context(Family.B_OVER_D, 4)
+    assert repr(ctx) == "GroupContext(family=<Family.B_OVER_D: 'B~/D'>, n=4)"
+    twin = GroupContext(Family.B_OVER_D, 4)
+    assert ctx == twin and hash(ctx) == hash(twin)
+    assert ctx != make_context(Family.B_OVER_D, 5)
+    assert ctx != make_context(Family.D_OVER_D, 4)
+    assert len({ctx, twin, make_context(Family.D_OVER_D, 4)}) == 2
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_context_pickles_with_its_constants(family):
+    ctx = make_context(family, 6)
+    back = pickle.loads(pickle.dumps(ctx))
+    assert back == ctx and hash(back) == hash(ctx) and repr(back) == repr(ctx)
+    assert (back.N, back.fork_at_zero, back.fork_at_n, back.x0, back.xn) == (
+        ctx.N, ctx.fork_at_zero, ctx.fork_at_n, ctx.x0, ctx.xn,
+    )
+
+
+def test_replace_recomputes_the_constants():
+    ctx = make_context(Family.D_OVER_D, 4)
+    five = dataclasses.replace(ctx, n=5)
+    assert five == make_context(Family.D_OVER_D, 5)
+    assert five.N == 11 and (five.x0, five.xn) == (-1, -1)
+    cc = dataclasses.replace(ctx, family=Family.C_OVER_C)
+    assert (cc.fork_at_zero, cc.fork_at_n, cc.x0, cc.xn, cc.N) == (False, False, 0, 0, 9)

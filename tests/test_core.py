@@ -73,6 +73,56 @@ def test_rejects_odd_diagonal_in_even_family():
         make_core(d4, (1,))
 
 
+B3 = cx.make_context(Family.B_OVER_B, 3)
+D4 = cx.make_context(Family.D_OVER_D, 4)
+
+
+@pytest.mark.parametrize(
+    "ctx,rows,error,message",
+    [
+        # checks run in order: positive, decreasing, symmetric, core, parity
+        (C3, (3, 0), NotACore, "rows must be positive"),
+        (C3, (0, 3), NotACore, "rows must be positive"),
+        (C3, (-1,), NotACore, "rows must be positive"),
+        (C3, (2, 3), NotACore, "rows must be weakly decreasing"),
+        (C3, (1, 1, 2), NotACore, "rows must be weakly decreasing"),
+        # asymmetric and not a core
+        (C3, (7, 1), NotSymmetric, "(7, 1) differs from its transpose"),
+        (C3, (8, 2, 1), NotSymmetric, "(8, 2, 1) differs from its transpose"),
+        # not a core, and an odd main diagonal in a family that forks at s_0
+        (D4, (9, 1, 1, 1, 1, 1, 1, 1, 1), NotACore, "row 1 has a hook of length 8"),
+        (B3, (7, 1, 1, 1, 1, 1, 1), NotACore, "row 1 has a hook of length 6"),
+        # the first row with a hook of length 2n is named
+        (C3, (4, 4, 4, 4), NotACore, "row 1 has a hook of length 6"),
+        (C3, (8, 8, 7, 5, 4, 3, 3, 2), NotACore, "row 2 has a hook of length 6"),
+        (B3, (8, 7, 7, 5, 4, 3, 3, 1), NotACore, "row 3 has a hook of length 6"),
+        (D4, (7, 7, 7, 7, 4, 4, 4), NotACore, "row 3 has a hook of length 8"),
+        (D4, (1,), ParityViolation, "odd number of main-diagonal boxes"),
+        (B3, (5, 1, 1, 1, 1), ParityViolation, "odd number of main-diagonal boxes"),
+    ],
+)
+def test_core_errors_name_the_first_failed_check(ctx, rows, error, message):
+    with pytest.raises(error) as err:
+        make_core(ctx, rows)
+    assert type(err.value) is error and str(err.value) == message
+    if error is not NotACore or not message.startswith("rows"):
+        with pytest.raises(error) as err:
+            validate_core(CorePartition(ctx, rows))
+        assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("rows", [(2, 3), (3, 0, 0), (2, 0), (3, 1, 2)])
+def test_validate_core_calls_a_non_partition_asymmetric(rows):
+    with pytest.raises(NotSymmetric) as err:
+        validate_core(CorePartition(C3, rows))
+    assert str(err.value) == f"{rows} differs from its transpose"
+
+
+def test_make_core_rejects_non_integer_rows():
+    with pytest.raises(ValueError):
+        make_core(C3, (3, "x"))
+
+
 def test_residue_fixed_region():
     lam = make_core(C3, GOLDEN_C3)
     assert residue(lam, 1, 2) == 1
