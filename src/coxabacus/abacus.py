@@ -78,18 +78,18 @@ def bead_at(a: Abacus, value: int) -> bool:
 
 def first_gap(a: Abacus) -> int:
     """Label of the earliest gap in reading order."""
-    ctx = a.ctx
-    return min((a.level(r) + 1) * ctx.N + r for r in range(1, 2 * ctx.n + 1))
+    N = a.ctx.N
+    return min(lvl * N + r for r, lvl in enumerate(a.levels, start=1)) + N
 
 
 def last_bead(a: Abacus) -> int:
-    ctx = a.ctx
-    return max(a.level(r) * ctx.N + r for r in range(1, 2 * ctx.n + 1))
+    N = a.ctx.N
+    return max(lvl * N + r for r, lvl in enumerate(a.levels, start=1))
 
 
 def is_even(a: Abacus) -> bool:
     """Parity of the number of gaps before position N in reading order."""
-    return sum(abs(a.level(r)) for r in range(1, a.ctx.n + 1)) % 2 == 0
+    return sum(map(abs, a.levels[: a.ctx.n])) % 2 == 0
 
 
 @lru_cache(maxsize=1024)

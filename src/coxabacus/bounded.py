@@ -1,13 +1,14 @@
 """Bounded partitions, a view of the level vector: the parts of the upper
 diagram rows, with the star decoration, read off the abacus runner by
 runner, and the residue filling whose reading is the canonical reduced
-word, which walks back to the abacus."""
+word: its rows, acting on the identity, give back the abacus."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter, lt
 
-from .abacus import Abacus, abacus_from_word
+from .abacus import Abacus, generator_moves, identity_abacus, move_levels
 from .context import GroupContext
 from .errors import CoxabacusError, MalformedBounded
 
@@ -30,7 +31,7 @@ def unwrap(text: str, error: type[CoxabacusError] = MalformedBounded) -> str:
     inner = text.strip()
     if inner[:1] + inner[-1:] in ("()", "[]"):
         inner = inner[1:-1]
-    if any(c in "()[]" for c in inner):
+    if "(" in inner or ")" in inner or "[" in inner or "]" in inner:
         raise error(f"unbalanced brackets: {text!r}")
     return inner
 
@@ -59,10 +60,10 @@ def star_size(ctx: GroupContext) -> int | None:
 
 
 def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
-    parts = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in parts):
+    parts = tuple(map(int, parts))
+    if min(parts, default=1) <= 0:
         raise MalformedBounded("parts must be positive")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(lt, parts, parts[1:])):
         raise MalformedBounded("parts must be weakly decreasing")
     limit = 2 * ctx.n + ctx.x0 + ctx.xn
     if parts and parts[0] > limit:
@@ -107,8 +108,22 @@ def bounded_from_abacus(a: Abacus) -> BoundedPartition:
 
 
 def abacus_from_bounded(beta: BoundedPartition) -> Abacus:
-    """The filling reads the canonical word, so the word rebuilds the abacus."""
-    return abacus_from_word(beta.ctx, word_from_filling(beta))
+    """The filling reads the canonical word: its rows act on the identity top
+    to bottom, each left to right.  Each distinct row is composed once into a
+    runner map, under which level t becomes level src[t] plus shift[t]."""
+    ctx, maps = beta.ctx, {}
+    tables = [generator_moves(ctx, g) for g in ctx.generators()]
+    perms = [[(r, 0, s) for r, _, s in moves] for moves in tables]  # no shifts
+    levels = zero = identity_abacus(ctx).levels
+    for row in map(tuple, residue_filling(beta)):
+        if row not in maps:
+            src, shift = tuple(range(2 * ctx.n)), zero
+            for g in row:
+                src, shift = move_levels(src, perms[g]), move_levels(shift, tables[g])
+            maps[row] = itemgetter(*src), shift
+        pick, shift = maps[row]
+        levels = list(map(add, pick(levels), shift))
+    return Abacus(ctx, tuple(levels))
 
 
 def residue_filling(beta: BoundedPartition) -> list[list[int]]:

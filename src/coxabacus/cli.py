@@ -47,11 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text: str) -> list[int]:
-    fields = unwrap(text, MalformedText).split(",")
-    if len(fields) > 1 and not all(f.strip() for f in fields):
+    inner = unwrap(text, MalformedText)
+    if "," in inner and not all(map(str.strip, inner.split(","))):
         raise MalformedText(f"empty field between commas: {text!r}")
     try:
-        return [int(t) for f in fields for t in f.split()]
+        return list(map(int, inner.replace(",", " ").split()))
     except ValueError:
         raise MalformedText(f"not a list of integers: {text!r}") from None
 

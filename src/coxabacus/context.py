@@ -8,7 +8,7 @@ offsets used by the bounded-partition and length computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import RankTooSmall
@@ -32,30 +32,25 @@ MIN_RANK = {
 
 @dataclass(frozen=True)
 class GroupContext:
+    """Family and rank; the constants below are derived from them once, and
+    equality, hashing and repr see only the two."""
+
     family: Family
     n: int
+    N: int = field(init=False, repr=False, compare=False)  # the modulus 2n+1
+    # True when s_0 (s_n) is the D-flavor generator: a fork on that end
+    fork_at_zero: bool = field(init=False, repr=False, compare=False)
+    fork_at_n: bool = field(init=False, repr=False, compare=False)
+    x0: int = field(init=False, repr=False, compare=False)  # -1 at a fork, else 0
+    xn: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def N(self) -> int:
-        return 2 * self.n + 1
-
-    @property
-    def fork_at_zero(self) -> bool:
-        """True when s_0 is the D-flavor generator (fork on the left end)."""
-        return self.family in (Family.B_OVER_B, Family.D_OVER_D)
-
-    @property
-    def fork_at_n(self) -> bool:
-        """True when s_n is the D-flavor generator (fork on the right end)."""
-        return self.family in (Family.B_OVER_D, Family.D_OVER_D)
-
-    @property
-    def x0(self) -> int:
-        return -1 if self.fork_at_zero else 0
-
-    @property
-    def xn(self) -> int:
-        return -1 if self.fork_at_n else 0
+    def __post_init__(self):
+        zero = self.family in (Family.B_OVER_B, Family.D_OVER_D)
+        end = self.family in (Family.B_OVER_D, Family.D_OVER_D)
+        constants = {"N": 2 * self.n + 1, "fork_at_zero": zero, "fork_at_n": end,
+                     "x0": -1 if zero else 0, "xn": -1 if end else 0}
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
     def generators(self) -> range:
         return range(self.n + 1)

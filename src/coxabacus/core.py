@@ -13,6 +13,8 @@ diagonal they mirror those above it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, repeat
+from operator import ge, gt, lt, sub
 
 from .abacus import Abacus, first_gap, last_bead
 from .context import GroupContext
@@ -28,25 +30,14 @@ class CorePartition:
 
 
 def make_core(ctx: GroupContext, rows) -> CorePartition:
-    rows = tuple(int(r) for r in rows)
-    if any(r <= 0 for r in rows):
+    rows = tuple(map(int, rows))
+    if min(rows, default=1) <= 0:
         raise NotACore("rows must be positive")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+    if any(map(lt, rows, rows[1:])):
         raise NotACore("rows must be weakly decreasing")
     lam = CorePartition(ctx, rows)
     validate_core(lam)
     return lam
-
-
-def conjugate(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Column lengths: a pointer walks up from the last row as j grows."""
-    out = []
-    i = len(rows)
-    for j in range(1, row_len(rows, 1) + 1):
-        while rows[i - 1] < j:
-            i -= 1
-        out.append(i)
-    return tuple(out)
 
 
 def row_len(rows: tuple[int, ...], i: int) -> int:
@@ -56,38 +47,31 @@ def row_len(rows: tuple[int, ...], i: int) -> int:
 
 def diagonal_boxes(lam: CorePartition, d: int) -> int:
     """Number of boxes (i, i+d) of the partition on the d-th diagonal."""
-    return sum(1 for i in range(1, len(lam.rows) + 1) if lam.rows[i - 1] >= i + d)
+    return sum(map(ge, lam.rows, range(1 + d, len(lam.rows) + 1 + d)))
 
 
 def validate_core(lam: CorePartition) -> None:
-    """Symmetry, then the 2n-core property in O(len(rows)): row i has a hook
-    of length 2n iff rows_i - i - 2n >= -len(rows) is not some rows_k - k."""
-    ctx = lam.ctx
-    rows = lam.rows
-    if row_len(rows, 1) != len(rows) or rows != conjugate(rows):
+    """Symmetry, then the 2n-core property, on the beta numbers u_i = rows_i - i
+    of a partition, with u_i = -i past the last row: it is symmetric iff
+    rows_1 = len(rows) and no u_i is -1 - u_j, and row i has a hook of length
+    2n iff u_i - 2n is no u_j."""
+    ctx, rows, p = lam.ctx, lam.rows, 2 * lam.ctx.n
+    k = len(rows)
+    beta = list(map(sub, rows, range(1, k + 1)))
+    members = set(beta)
+    # rows that are not a partition differ from their transpose, a partition
+    partition = min(rows, default=1) > 0 and all(map(gt, beta, beta[1:]))
+    if row_len(rows, 1) != k or not partition or not members.isdisjoint(map(sub, repeat(-1), beta)):
         raise NotSymmetric(f"{rows} differs from its transpose")
-    p, k = 2 * ctx.n, 0  # rows[k] - k - 1 and b both fall: k only moves on
-    for i, r in enumerate(rows, start=1):
-        b = r - i - p
-        while k < len(rows) and rows[k] - k - 1 > b:
-            k += 1
-        if b >= -len(rows) and (k == len(rows) or rows[k] - k - 1 != b):
-            raise NotACore(f"row {i} has a hook of length {p}")
+    members.update(range(-k - p, -k))  # u_i - 2n reaches no lower
+    if not members.issuperset(map(sub, beta, repeat(p))):
+        i = next(i for i, u in enumerate(beta, start=1) if u - p not in members)
+        raise NotACore(f"row {i} has a hook of length {p}")
     if ctx.fork_at_zero and diagonal_boxes(lam, 0) % 2 != 0:
         raise ParityViolation("odd number of main-diagonal boxes")
 
 
 # --- boundary path <-> abacus -------------------------------------------
-
-def path_label(ctx: GroupContext, u: int) -> int:
-    """Abacus label of boundary step u, with step 0 the first after the
-    center of the path (entry N+1) and step -1 the one before (entry N-1)."""
-    p = 2 * ctx.n
-    if u >= 0:
-        return ctx.N + (u // p) * ctx.N + (u % p) + 1
-    v = -u - 1
-    return ctx.N - (v % p) - 1 - (v // p) * ctx.N
-
 
 def from_abacus(a: Abacus) -> CorePartition:
     """One row per bead after the first gap, as long as the number of gaps
@@ -108,15 +92,18 @@ def from_abacus(a: Abacus) -> CorePartition:
 
 
 def abacus_of(lam: CorePartition) -> Abacus:
-    """The abacus of a partition already known to be a core."""
-    ctx = lam.ctx
-    levels = [None] * (2 * ctx.n)
-    for i in range(1, len(lam.rows) + 2 * ctx.n + 1):
-        b = path_label(ctx, row_len(lam.rows, i) - i)
-        r = b % ctx.N
-        lvl = (b - r) // ctx.N
-        if levels[r - 1] is None or lvl > levels[r - 1]:
-            levels[r - 1] = lvl
+    """The abacus of a partition already known to be a core.  Boundary step
+    u = rows_i - i is the bead at level u // 2n + 1 on runner u % 2n + 1; the
+    steps fall, so the first one met on a runner is its lowest bead."""
+    ctx, rows, p = lam.ctx, lam.rows, 2 * lam.ctx.n
+    levels, unset = [None] * p, p
+    for u in chain(map(sub, rows, count(1)), range(-len(rows) - 1, -len(rows) - p - 1, -1)):
+        r = u % p
+        if levels[r] is None:
+            levels[r] = u // p + 1
+            unset -= 1
+            if not unset:
+                break
     return Abacus(ctx, tuple(levels))
 
 

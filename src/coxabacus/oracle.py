@@ -2,7 +2,8 @@
 breadth-first enumeration by it, the membership and minimality tests and
 the descent class of a window, Bruhat order via the lifting property, the
 generator action on a core by scanning its cells for residues and on root
-points by hand, the core check by one hook per box, central peeling, the
+points by hand, the core check by one hook per box, the abacus of a core
+by labelling its boundary path, central peeling, the
 bounded diagram read off the hooks of the core, and three length
 formulas.  Peeling removes the component of the last box of row d, d the
 number of boxes on the family's reference diagonal, until the core is
@@ -16,15 +17,7 @@ from dataclasses import dataclass, field
 from .abacus import Abacus, bead_at, from_permutation, generator_moves, last_bead, move_levels
 from .abacus import runner_of, size_change
 from .context import GroupContext
-from .core import (
-    CorePartition,
-    abacus_of,
-    conjugate,
-    diagonal_boxes,
-    from_abacus,
-    residue_set,
-    row_len,
-)
+from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
 from .rootlattice import RootPoint
@@ -220,6 +213,41 @@ def apply_generator_scan(lam: CorePartition, g: int) -> CorePartition:
     merged = set().union(*chosen)
     new = _shape_after(rows, merged, sign)
     return CorePartition(ctx, new)
+
+
+def conjugate(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths: a pointer walks up from the last row as j grows."""
+    out = []
+    i = len(rows)
+    for j in range(1, row_len(rows, 1) + 1):
+        while rows[i - 1] < j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
+
+
+def path_label(ctx: GroupContext, u: int) -> int:
+    """Abacus label of boundary step u, with step 0 the first after the
+    center of the path (entry N+1) and step -1 the one before (entry N-1)."""
+    p = 2 * ctx.n
+    if u >= 0:
+        return ctx.N + (u // p) * ctx.N + (u % p) + 1
+    v = -u - 1
+    return ctx.N - (v % p) - 1 - (v // p) * ctx.N
+
+
+def abacus_of_path(lam: CorePartition) -> Abacus:
+    """`core.abacus_of` by labelling every boundary step down to row
+    len(rows) + 2n and keeping the highest level on each runner."""
+    ctx = lam.ctx
+    levels = [None] * (2 * ctx.n)
+    for i in range(1, len(lam.rows) + 2 * ctx.n + 1):
+        b = path_label(ctx, row_len(lam.rows, i) - i)
+        r = b % ctx.N
+        lvl = (b - r) // ctx.N
+        if levels[r - 1] is None or lvl > levels[r - 1]:
+            levels[r - 1] = lvl
+    return Abacus(ctx, tuple(levels))
 
 
 def validate_core_scan(lam: CorePartition) -> None:

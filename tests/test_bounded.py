@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import enumerate_abaci
+from coxabacus.context import MIN_RANK
+from coxabacus.abacus import abacus_from_word, enumerate_abaci, generator_moves
 from coxabacus.bounded import (
     abacus_from_bounded,
     bounded_from_abacus,
@@ -115,6 +118,42 @@ def test_filling_word_matches_peel_on_long_elements(family, n, point):
     # the parts are the row sizes of the peeled upper diagram
     rows = sorted({i for i, _ in boxes})
     assert beta.parts == tuple(sum(1 for i, _ in boxes if i == r) for r in rows)
+
+
+def test_row_maps_walk_the_filling_word():
+    # every family to rank 8, root coordinates up to 30 either side
+    rng = random.Random(8)
+    for fam in Family:
+        for n in range(MIN_RANK[fam], 9):
+            ctx = cx.make_context(fam, n)
+            for _ in range(12):
+                point = [rng.randint(-30, 30) for _ in range(n)]
+                if ctx.fork_at_zero and sum(map(abs, point)) % 2:
+                    point[0] += 1
+                a = cx.from_coordinates(cx.RootPoint(ctx, tuple(point)))
+                beta = bounded_from_abacus(a)
+                walked = abacus_from_word(ctx, word_from_filling(beta))
+                assert abacus_from_bounded(beta) == walked == a
+
+
+def test_row_maps_at_a_wide_rank():
+    c20 = cx.make_context(Family.C_OVER_C, 20)
+    a = cx.from_coordinates(cx.RootPoint(c20, tuple((-1) ** i * (40 - 2 * i) for i in range(20))))
+    beta = bounded_from_abacus(a)
+    assert sum(beta.parts) == 11270
+    assert abacus_from_bounded(beta) == abacus_from_word(c20, word_from_filling(beta)) == a
+
+
+def test_abacus_from_bounded_fetches_each_move_table_once():
+    c2 = cx.make_context(Family.C_OVER_C, 2)
+    a = cx.from_coordinates(cx.RootPoint(c2, (300, -120)))
+    beta = bounded_from_abacus(a)
+    assert sum(beta.parts) == 1437
+    before = generator_moves.cache_info()
+    b = abacus_from_bounded(beta)
+    after = generator_moves.cache_info()
+    assert b == a
+    assert (after.hits + after.misses) - (before.hits + before.misses) <= c2.n + 1
 
 
 def valid_bounded(ctx, size):

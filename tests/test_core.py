@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import bruhat_leq, descent_chain, generator_moves, move_levels, size_change
+from coxabacus.context import MIN_RANK
 from coxabacus.core import (
     CorePartition,
-    conjugate,
+    abacus_of,
     diagonal_boxes,
     from_abacus,
     make_core,
@@ -19,7 +22,8 @@ from coxabacus.errors import (
     NotSymmetric,
     ParityViolation,
 )
-from coxabacus.oracle import apply_generator_scan, core_size, validate_core_scan
+from coxabacus.oracle import abacus_of_path, apply_generator_scan, conjugate, core_size
+from coxabacus.oracle import validate_core_scan
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D5 = cx.make_context(Family.D_OVER_D, 5)
@@ -39,6 +43,32 @@ def test_core_abacus_round_trip(tables):
             lam = from_abacus(a)
             validate_core(lam)
             assert to_abacus(lam).levels == a.levels
+
+
+def _random_abaci(seed, count, reach):
+    """count random elements per family and rank, from the smallest rank to 20,
+    as root points with coordinates in [-reach, reach]."""
+    rng = random.Random(seed)
+    for fam in Family:
+        for n in range(MIN_RANK[fam], 21):
+            ctx = cx.make_context(fam, n)
+            for _ in range(count):
+                point = [rng.randint(-reach, reach) for _ in range(n)]
+                if ctx.fork_at_zero and sum(map(abs, point)) % 2:
+                    point[rng.randrange(n)] += 1
+                yield cx.from_coordinates(cx.RootPoint(ctx, tuple(point)))
+
+
+def test_abacus_of_reads_the_beta_numbers(tables):
+    # the beta-number reading against the boundary-path labels it replaced
+    cores = [from_abacus(cx.from_permutation(w)) for t in tables.values() for w in t.elements()]
+    long_cores = [from_abacus(a) for a in _random_abaci(13, 2, 30)]
+    assert max(len(lam.rows) for lam in long_cores) > 1000
+    for lam in cores + long_cores:
+        a = abacus_of(lam)
+        assert a == abacus_of_path(lam)
+        assert make_core(lam.ctx, lam.rows) == lam
+        assert to_abacus(from_abacus(a)) == a
 
 
 def test_empty_core_is_identity():

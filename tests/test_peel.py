@@ -1,7 +1,7 @@
 import sys
 
 import coxabacus as cx
-import coxabacus.core as core
+import coxabacus.oracle as oracle
 from coxabacus import Family
 from coxabacus.abacus import abacus_from_word, generator_moves
 from coxabacus.oracle import bounded_diagram, central_peel, reference_diagonal
@@ -71,7 +71,7 @@ def test_peel_letters_start_with_zero():
 
 def test_bounded_diagram_conjugates_once(monkeypatch):
     calls = []
-    original = core.conjugate
+    original = oracle.conjugate
 
     def counted(rows):
         calls.append(rows)
