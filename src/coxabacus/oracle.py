@@ -3,12 +3,11 @@ breadth-first enumeration by it, the membership and minimality tests and
 the descent class of a window, Bruhat order via the lifting property, the
 generator action on a core by scanning its cells for residues and on root
 points by hand, the core check by one hook per box, the abacus of a core
-by labelling its boundary path, central peeling, the
-bounded diagram read off the hooks of the core, and three length
-formulas.  Peeling removes the component of the last box of row d, d the
-number of boxes on the family's reference diagonal, until the core is
-empty: the letters form the canonical word and the recorded boxes its
-upper diagram."""
+by labelling its boundary path, central peeling, the bounded diagram read
+off the hooks of the core, and three length formulas.  Peeling removes
+the component of the last box of row d, d the number of boxes on the
+family's reference diagonal, until the core is empty: the letters form
+the canonical word and the recorded boxes its upper diagram."""
 
 from __future__ import annotations
 
