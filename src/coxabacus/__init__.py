@@ -26,20 +26,6 @@ from .bounded import (
 from .context import Family, GroupContext, coxeter_matrix, make_context
 from .core import CorePartition, from_abacus, make_core, residue, to_abacus
 from .errors import CoxabacusError
-from .oracle import (
-    QuotientTable,
-    apply_generator_left,
-    bounded_diagram,
-    bruhat_leq_lifting,
-    central_peel,
-    descent_class,
-    enumerate_quotient,
-    is_minimal_coset_rep,
-    length_from_abacus,
-    length_from_core,
-    length_from_rimwalk,
-    reflect,
-)
 from .rootlattice import RootPoint, coordinates, from_coordinates
 from .window import MirroredPermutation, from_base_window, identity, normalize
 
@@ -90,3 +76,13 @@ __all__ = [
     "to_permutation",
     "word_from_filling",
 ]
+
+
+def __getattr__(name):
+    """The oracle names in __all__, loaded on first use: they check the
+    engine and no command runs them, so a command never imports oracle.py."""
+    if name in __all__:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

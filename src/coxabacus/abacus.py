@@ -9,18 +9,19 @@ ascent walk and Bruhat order all run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .context import GroupContext
+from .context import GroupContext, Record
 from .errors import BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
 from .window import MirroredPermutation, generator_value, normalize
 
 
-@dataclass(frozen=True)
-class Abacus:
-    ctx: GroupContext
-    levels: tuple[int, ...]
+class Abacus(Record):
+    __slots__ = ("ctx", "levels")
+
+    def __init__(self, ctx: GroupContext, levels: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "levels", levels)
 
     def level(self, runner: int) -> int:
         return self.levels[runner - 1]
@@ -74,17 +75,6 @@ def to_permutation(a: Abacus) -> MirroredPermutation:
 
 def bead_at(a: Abacus, value: int) -> bool:
     return level_of(a.ctx, value) <= a.level(runner_of(a.ctx, value))
-
-
-def first_gap(a: Abacus) -> int:
-    """Label of the earliest gap in reading order."""
-    N = a.ctx.N
-    return min(lvl * N + r for r, lvl in enumerate(a.levels, start=1)) + N
-
-
-def last_bead(a: Abacus) -> int:
-    N = a.ctx.N
-    return max(lvl * N + r for r, lvl in enumerate(a.levels, start=1))
 
 
 def is_even(a: Abacus) -> bool:

@@ -5,19 +5,20 @@ word: its rows, acting on the identity, give back the abacus."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter, lt
 
 from .abacus import Abacus, generator_moves, identity_abacus, move_levels
-from .context import GroupContext
+from .context import GroupContext, Record
 from .errors import CoxabacusError, MalformedBounded
 
 
-@dataclass(frozen=True)
-class BoundedPartition:
-    ctx: GroupContext
-    parts: tuple[int, ...]
-    star: int | None = None  # 0-based index of the starred part
+class BoundedPartition(Record):
+    __slots__ = ("ctx", "parts", "star")
+
+    def __init__(self, ctx: GroupContext, parts: tuple[int, ...], star: int | None = None):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "star", star)  # 0-based index of the starred part
 
     def __str__(self) -> str:
         items = [

@@ -8,8 +8,8 @@ offsets used by the bounded-partition and length computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .errors import RankTooSmall
 
@@ -30,26 +30,56 @@ MIN_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class Record:
+    """A frozen value: its fields live in __slots__ and are set once, with
+    object.__setattr__, by the subclass's own __init__.  Equality needs the
+    same class; equality, hashing, repr and pickling see the fields named
+    by the `fields` class keyword (by default every slot), in order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(fields or cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupContext(Record, fields=("family", "n")):
     """Family and rank; the constants below are derived from them once, and
     equality, hashing and repr see only the two."""
 
-    family: Family
-    n: int
-    N: int = field(init=False, repr=False, compare=False)  # the modulus 2n+1
-    # True when s_0 (s_n) is the D-flavor generator: a fork on that end
-    fork_at_zero: bool = field(init=False, repr=False, compare=False)
-    fork_at_n: bool = field(init=False, repr=False, compare=False)
-    x0: int = field(init=False, repr=False, compare=False)  # -1 at a fork, else 0
-    xn: int = field(init=False, repr=False, compare=False)
+    # N is the modulus 2n+1; fork_at_zero (fork_at_n) is True when s_0 (s_n)
+    # is the D-flavor generator, a fork on that end; x0 (xn) is -1 at a fork,
+    # else 0
+    __slots__ = ("family", "n", "N", "fork_at_zero", "fork_at_n", "x0", "xn")
 
-    def __post_init__(self):
-        zero = self.family in (Family.B_OVER_B, Family.D_OVER_D)
-        end = self.family in (Family.B_OVER_D, Family.D_OVER_D)
-        constants = {"N": 2 * self.n + 1, "fork_at_zero": zero, "fork_at_n": end,
-                     "x0": -1 if zero else 0, "xn": -1 if end else 0}
-        for name, value in constants.items():
+    def __init__(self, family: Family, n: int):
+        zero = family in (Family.B_OVER_B, Family.D_OVER_D)
+        end = family in (Family.B_OVER_D, Family.D_OVER_D)
+        for name, value in (("family", family), ("n", n), ("N", 2 * n + 1),
+                            ("fork_at_zero", zero), ("fork_at_n", end),
+                            ("x0", -1 if zero else 0), ("xn", -1 if end else 0)):
             object.__setattr__(self, name, value)
 
     def generators(self) -> range:

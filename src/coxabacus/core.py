@@ -1,5 +1,5 @@
 """Symmetric (2n)-cores: the core check, the bijection with the abacus
-through the boundary path, and residues.  Cores are a view of the level
+on the beta numbers, and residues.  Cores are a view of the level
 vector; the generator action and Bruhat order run on the abacus.
 
 The boundary path of the core matches the abacus in reading order: a north
@@ -12,21 +12,22 @@ diagonal they mirror those above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count, repeat
-from operator import ge, gt, lt, sub
+from operator import add, ge, gt, lt, sub
 
-from .abacus import Abacus, first_gap, last_bead
-from .context import GroupContext
+from .abacus import Abacus
+from .context import GroupContext, Record
 from .errors import NotACore, NotSymmetric, ParityViolation
 
 EMPTY = frozenset()
 
 
-@dataclass(frozen=True)
-class CorePartition:
-    ctx: GroupContext
-    rows: tuple[int, ...]
+class CorePartition(Record):
+    __slots__ = ("ctx", "rows")
+
+    def __init__(self, ctx: GroupContext, rows: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rows", rows)
 
 
 def make_core(ctx: GroupContext, rows) -> CorePartition:
@@ -71,24 +72,18 @@ def validate_core(lam: CorePartition) -> None:
         raise ParityViolation("odd number of main-diagonal boxes")
 
 
-# --- boundary path <-> abacus -------------------------------------------
+# --- beta numbers <-> abacus ------------------------------------------
 
 def from_abacus(a: Abacus) -> CorePartition:
-    """One row per bead after the first gap, as long as the number of gaps
-    before it; position v = mN+r holds a bead iff m <= levels[r-1]."""
-    N, levels = a.ctx.N, a.levels
-    rows = []
-    gaps = 0
-    for v in range(first_gap(a), last_bead(a) + 1):
-        r = v % N
-        if r == 0:
-            continue
-        if v // N <= levels[r - 1]:
-            rows.append(gaps)
-        else:
-            gaps += 1
-    rows.reverse()
-    return CorePartition(a.ctx, tuple(rows))
+    """Rows off the beta numbers, as abacus_of reads them the other way: the
+    bead at level l on runner r is u = 2n(l-1) + r - 1, and its beads above
+    the first gap, u_1 > u_2 > ..., give row i = u_i + i (balance makes the
+    charge 0)."""
+    p = 2 * a.ctx.n
+    tops = [p * (lvl - 1) + r for r, lvl in enumerate(a.levels)]
+    gap = min(tops) + p
+    beads = sorted(chain.from_iterable(range(u, gap, -p) for u in tops), reverse=True)
+    return CorePartition(a.ctx, tuple(map(add, beads, count(1))))
 
 
 def abacus_of(lam: CorePartition) -> Abacus:

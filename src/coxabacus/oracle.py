@@ -3,17 +3,18 @@ breadth-first enumeration by it, the membership and minimality tests and
 the descent class of a window, Bruhat order via the lifting property, the
 generator action on a core by scanning its cells for residues and on root
 points by hand, the core check by one hook per box, the abacus of a core
-by labelling its boundary path, central peeling, the bounded diagram read
-off the hooks of the core, and three length formulas.  Peeling removes
-the component of the last box of row d, d the number of boxes on the
-family's reference diagonal, until the core is empty: the letters form
-the canonical word and the recorded boxes its upper diagram."""
+by labelling its boundary path and the core of an abacus by walking its
+positions, central peeling, the bounded diagram read off the hooks of the
+core, and three length formulas.  Peeling removes the component of the
+last box of row d, d the number of boxes on the family's reference
+diagonal, until the core is empty: the letters form the canonical word
+and the recorded boxes its upper diagram."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abacus import Abacus, bead_at, from_permutation, generator_moves, last_bead, move_levels
+from .abacus import Abacus, bead_at, from_permutation, generator_moves, move_levels
 from .abacus import runner_of, size_change
 from .context import GroupContext
 from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue_set, row_len
@@ -247,6 +248,36 @@ def abacus_of_path(lam: CorePartition) -> Abacus:
         if levels[r - 1] is None or lvl > levels[r - 1]:
             levels[r - 1] = lvl
     return Abacus(ctx, tuple(levels))
+
+
+def first_gap(a: Abacus) -> int:
+    """Label of the earliest gap in reading order."""
+    N = a.ctx.N
+    return min(lvl * N + r for r, lvl in enumerate(a.levels, start=1)) + N
+
+
+def last_bead(a: Abacus) -> int:
+    N = a.ctx.N
+    return max(lvl * N + r for r, lvl in enumerate(a.levels, start=1))
+
+
+def from_abacus_scan(a: Abacus) -> CorePartition:
+    """`core.from_abacus` by walking every position from the first gap to
+    the last bead: one row per bead, as long as the number of gaps before
+    it; position v = mN+r holds a bead iff m <= levels[r-1]."""
+    N, levels = a.ctx.N, a.levels
+    rows = []
+    gaps = 0
+    for v in range(first_gap(a), last_bead(a) + 1):
+        r = v % N
+        if r == 0:
+            continue
+        if v // N <= levels[r - 1]:
+            rows.append(gaps)
+        else:
+            gaps += 1
+    rows.reverse()
+    return CorePartition(a.ctx, tuple(rows))
 
 
 def validate_core_scan(lam: CorePartition) -> None:

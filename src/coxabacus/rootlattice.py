@@ -7,17 +7,17 @@ written out by hand in `oracle.reflect` to check the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abacus import Abacus, make_abacus
-from .context import GroupContext
+from .context import GroupContext, Record
 from .errors import BalanceViolation
 
 
-@dataclass(frozen=True)
-class RootPoint:
-    ctx: GroupContext
-    coords: tuple[int, ...]
+class RootPoint(Record):
+    __slots__ = ("ctx", "coords")
+
+    def __init__(self, ctx: GroupContext, coords: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "coords", coords)
 
 
 def coordinates(a: Abacus) -> RootPoint:

@@ -8,16 +8,16 @@ family's sorting condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .context import GroupContext
+from .context import GroupContext, Record
 from .errors import BalanceViolation, ResidueClash, UnknownGenerator, ZeroResidue
 
 
-@dataclass(frozen=True)
-class MirroredPermutation:
-    ctx: GroupContext
-    window: tuple[int, ...]
+class MirroredPermutation(Record):
+    __slots__ = ("ctx", "window")
+
+    def __init__(self, ctx: GroupContext, window: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "window", window)
 
 
 def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:

@@ -6,18 +6,16 @@ from coxabacus.abacus import (
     Abacus,
     apply_generator_abacus,
     bead_at,
-    first_gap,
     from_permutation,
     generator_moves,
     identity_abacus,
     is_even,
-    last_bead,
     make_abacus,
     runner_of,
     to_permutation,
 )
 from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
-from coxabacus.oracle import gaps_between, lowest_bead
+from coxabacus.oracle import first_gap, gaps_between, last_bead, lowest_bead
 from coxabacus.window import generator_value
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -88,7 +86,7 @@ def test_odd_levels_raise_in_even_families():
     for ctx, levels in ((B3, (1, 0, 0, 0, 0, -1)), (D4, (0, 0, 0, 1, -1, 0, 0, 0))):
         with pytest.raises(ParityViolation):
             make_abacus(ctx, levels)
-        with pytest.raises(ParityViolation):  # the bare dataclass skips make_abacus
+        with pytest.raises(ParityViolation):  # the bare constructor skips make_abacus
             to_permutation(Abacus(ctx, levels))
 
 

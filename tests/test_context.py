@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 
 import pytest
@@ -93,10 +92,10 @@ def test_context_pickles_with_its_constants(family):
     )
 
 
-def test_replace_recomputes_the_constants():
-    ctx = make_context(Family.D_OVER_D, 4)
-    five = dataclasses.replace(ctx, n=5)
+def test_direct_construction_derives_the_constants():
+    five = GroupContext(Family.D_OVER_D, 5)
     assert five == make_context(Family.D_OVER_D, 5)
     assert five.N == 11 and (five.x0, five.xn) == (-1, -1)
-    cc = dataclasses.replace(ctx, family=Family.C_OVER_C)
+    cc = GroupContext(Family.C_OVER_C, 4)
+    assert cc == make_context(Family.C_OVER_C, 4)
     assert (cc.fork_at_zero, cc.fork_at_n, cc.x0, cc.xn, cc.N) == (False, False, 0, 0, 9)

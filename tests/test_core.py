@@ -23,7 +23,7 @@ from coxabacus.errors import (
     ParityViolation,
 )
 from coxabacus.oracle import abacus_of_path, apply_generator_scan, conjugate, core_size
-from coxabacus.oracle import validate_core_scan
+from coxabacus.oracle import from_abacus_scan, validate_core_scan
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D5 = cx.make_context(Family.D_OVER_D, 5)
@@ -69,6 +69,13 @@ def test_abacus_of_reads_the_beta_numbers(tables):
         assert a == abacus_of_path(lam)
         assert make_core(lam.ctx, lam.rows) == lam
         assert to_abacus(from_abacus(a)) == a
+
+
+def test_from_abacus_reads_the_beta_numbers(tables):
+    # the beta-number reading against the position walk it replaced
+    abaci = [cx.from_permutation(w) for t in tables.values() for w in t.elements()]
+    for a in abaci + list(_random_abaci(17, 3, 30)):
+        assert from_abacus(a) == from_abacus_scan(a)
 
 
 def test_empty_core_is_identity():

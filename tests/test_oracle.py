@@ -1,5 +1,8 @@
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -162,3 +165,39 @@ def test_production_modules_do_not_import_the_checks(module):
                 imported.add(node.module.split(".")[-1])
             imported.update(alias.name for alias in node.names)
     assert "oracle" not in imported
+
+
+# a fresh interpreter: imports the CLI, then touches the lazy oracle names
+FOOTPRINT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import coxabacus.cli
+checks = ("dataclasses", "inspect", "coxabacus.oracle")
+report = {"with_cli": [m for m in checks if m in sys.modules]}
+import coxabacus
+report["resolved_in"] = coxabacus.length_from_abacus.__module__
+report["oracle_loaded"] = "coxabacus.oracle" in sys.modules
+names = {}
+exec("from coxabacus import *", names)
+report["unbound"] = sorted(set(coxabacus.__all__) - set(names))
+try:
+    coxabacus.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_the_cli_imports_no_check_code():
+    """A command's import leaves out oracle.py and the dataclasses machinery;
+    the oracle names of the package still resolve, on first use."""
+    src = str(pathlib.Path(cx.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == {
+        "with_cli": [],
+        "resolved_in": "coxabacus.oracle",
+        "oracle_loaded": True,
+        "unbound": [],
+        "unknown": "module 'coxabacus' has no attribute 'no_such_name'",
+    }
