@@ -72,7 +72,7 @@ def test_abacus_of_reads_the_beta_numbers(tables):
 
 
 def test_from_abacus_reads_the_beta_numbers(tables):
-    # the beta-number reading against the position walk it replaced
+    # the beta-number reading against the walk over every position
     abaci = [cx.from_permutation(w) for t in tables.values() for w in t.elements()]
     for a in abaci + list(_random_abaci(17, 3, 30)):
         assert from_abacus(a) == from_abacus_scan(a)

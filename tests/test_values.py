@@ -70,12 +70,6 @@ def test_equality_needs_the_same_class(cls, fields, text):
         assert len(set(twins)) == len(twins)
 
 
-def test_abacus_and_core_of_one_tuple_differ():
-    t = (1, 0, 0, 0, 0, -1)
-    assert Abacus(BD3, t) != CorePartition(BD3, t) and CorePartition(BD3, t) != Abacus(BD3, t)
-    assert Abacus(BD3, t) != t and CorePartition(BD3, t) != t
-
-
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
 def test_repr_names_the_fields(cls, fields, text):
     assert repr(cls(**fields)) == text
