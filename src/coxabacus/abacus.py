@@ -9,11 +9,9 @@ ascent walk and Bruhat order all run on it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .context import GroupContext, Record
+from .context import GroupContext, Record, integers
 from .errors import BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
-from .window import MirroredPermutation, generator_value, normalize
+from .window import MirroredPermutation, normalize
 
 
 class Abacus(Record):
@@ -39,7 +37,7 @@ def level_of(ctx: GroupContext, value: int) -> int:
 
 
 def make_abacus(ctx: GroupContext, levels) -> Abacus:
-    levels = tuple(int(x) for x in levels)
+    levels = integers(levels)
     if len(levels) != 2 * ctx.n:
         raise BalanceViolation(f"need {2 * ctx.n} runner levels")
     for i in range(1, 2 * ctx.n + 1):
@@ -82,12 +80,25 @@ def is_even(a: Abacus) -> bool:
     return sum(map(abs, a.levels[: a.ctx.n])) % 2 == 0
 
 
-@lru_cache(maxsize=1024)
 def generator_moves(ctx: GroupContext, g: int) -> tuple[tuple[int, int, int], ...]:
     """(runner, shift, new runner) for the at most four runners s_g moves: the
-    lowest bead at level l goes to level l + shift on the new runner."""
-    images = ((r, *divmod(generator_value(ctx, g, r), ctx.N)) for r in range(1, ctx.N))
-    return tuple((r, shift, s) for r, shift, s in images if (shift, s) != (0, r))
+    lowest bead at level l goes to level l + shift on the new runner.  s_g
+    swaps runners g and g+1 for 0 < g < n.  s_0 moves runner 1 to runner 2n
+    one level down, or at a fork runners 1 and 2 to 2n-1 and 2n; s_n swaps
+    runners n and n+1, or at a fork n-1 and n with n+1 and n+2.  Each move
+    (r, m, s) comes with its mirror (N-r, -m, N-s), as w(-v) = -w(v)."""
+    n, N = ctx.n, ctx.N
+    if 0 < g < n:
+        return (g, 0, g + 1), (N - g, 0, N - g - 1), (g + 1, 0, g), (N - g - 1, 0, N - g)
+    if g == 0:
+        if ctx.fork_at_zero:
+            return (1, -1, N - 2), (N - 1, 1, 2), (2, -1, N - 1), (N - 2, 1, 1)
+        return (1, -1, N - 1), (N - 1, 1, 1)
+    if g == n:
+        if ctx.fork_at_n:
+            return (n - 1, 0, n + 1), (n + 2, 0, n), (n, 0, n + 2), (n + 1, 0, n - 1)
+        return (n, 0, n + 1), (n + 1, 0, n)
+    raise UnknownGenerator(f"no generator s{g} at rank {n}")
 
 
 def move_levels(levels: tuple[int, ...], moves) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from operator import add, itemgetter, lt
 
 from .abacus import Abacus, generator_moves, identity_abacus, move_levels
-from .context import GroupContext, Record
+from .context import GroupContext, Record, integers
 from .errors import CoxabacusError, MalformedBounded
 
 
@@ -61,7 +61,7 @@ def star_size(ctx: GroupContext) -> int | None:
 
 
 def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
-    parts = tuple(map(int, parts))
+    parts = integers(parts)
     if min(parts, default=1) <= 0:
         raise MalformedBounded("parts must be positive")
     if any(map(lt, parts, parts[1:])):

@@ -57,7 +57,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _letters(text: str) -> list[int]:
-    fields = text.split(",")
+    fields = unwrap(text, MalformedText).split(",")
     if len(fields) > 1 and not all(f.strip() for f in fields):
         raise MalformedText(f"empty field between commas: {text!r}")
     try:

@@ -9,9 +9,9 @@ offsets used by the bounded-partition and length computations.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, index
 
-from .errors import RankTooSmall
+from .errors import MalformedText, RankTooSmall
 
 
 class Family(Enum):
@@ -86,7 +86,19 @@ class GroupContext(Record, fields=("family", "n")):
         return range(self.n + 1)
 
 
+def integers(values) -> tuple[int, ...]:
+    """The values as ints, by operator.index: a float or a string raises
+    MalformedText naming it, where int() would truncate or parse it."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        raise MalformedText(f"not an integer: {bad!r}") from None
+
+
 def make_context(family: Family, n: int) -> GroupContext:
+    (n,) = integers((n,))
     if n < MIN_RANK[family]:
         raise RankTooSmall(
             f"family {family.value} requires rank >= {MIN_RANK[family]}, got {n}"

@@ -16,7 +16,7 @@ from itertools import chain, count, repeat
 from operator import add, ge, gt, lt, sub
 
 from .abacus import Abacus
-from .context import GroupContext, Record
+from .context import GroupContext, Record, integers
 from .errors import NotACore, NotSymmetric, ParityViolation
 
 EMPTY = frozenset()
@@ -31,7 +31,7 @@ class CorePartition(Record):
 
 
 def make_core(ctx: GroupContext, rows) -> CorePartition:
-    rows = tuple(map(int, rows))
+    rows = integers(rows)
     if min(rows, default=1) <= 0:
         raise NotACore("rows must be positive")
     if any(map(lt, rows, rows[1:])):

@@ -47,7 +47,8 @@ class BadRequest(CoxabacusError):
 
 
 class MalformedText(CoxabacusError):
-    """Input text that does not read as a list of integers."""
+    """Input that does not read as integers: text that is not a list of
+    integers, or a value that is not an int."""
 
 
 class MalformedBounded(CoxabacusError):

@@ -1,4 +1,5 @@
-"""Slow paths kept to check the level-vector engine: the window action and
+"""Slow paths kept to check the level-vector engine: the window action,
+which reads the runner table of `abacus.generator_moves`, and
 breadth-first enumeration by it, the membership and minimality tests and
 the descent class of a window, Bruhat order via the lifting property, the
 generator action on a core by scanning its cells for residues and on root
@@ -21,7 +22,18 @@ from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
 from .rootlattice import RootPoint
-from .window import MirroredPermutation, _count_cond_n, generator_value, identity, normalize
+from .window import MirroredPermutation, _count_cond_n, identity, normalize
+
+
+def generator_value(ctx: GroupContext, g: int, v: int) -> int:
+    """Value of the generator s_g, as a mirrored permutation, at v: the move
+    (r, shift, s) of runner r sends v = mN + r to (m + shift)N + s, and v
+    stays put when its runner does not move."""
+    m, r = divmod(v, ctx.N)
+    for runner, shift, s in generator_moves(ctx, g):
+        if runner == r:
+            return (m + shift) * ctx.N + s
+    return v
 
 
 def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:

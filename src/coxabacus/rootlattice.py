@@ -8,7 +8,7 @@ written out by hand in `oracle.reflect` to check the engine.
 from __future__ import annotations
 
 from .abacus import Abacus, make_abacus
-from .context import GroupContext, Record
+from .context import GroupContext, Record, integers
 from .errors import BalanceViolation
 
 
@@ -25,7 +25,7 @@ def coordinates(a: Abacus) -> RootPoint:
 
 
 def from_coordinates(pt: RootPoint) -> Abacus:
-    ctx = pt.ctx
-    if len(pt.coords) != ctx.n:
+    ctx, coords = pt.ctx, integers(pt.coords)
+    if len(coords) != ctx.n:
         raise BalanceViolation(f"need {ctx.n} coordinates")
-    return make_abacus(ctx, pt.coords + tuple(-c for c in reversed(pt.coords)))
+    return make_abacus(ctx, coords + tuple(-c for c in reversed(coords)))

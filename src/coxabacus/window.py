@@ -8,8 +8,8 @@ family's sorting condition.
 
 from __future__ import annotations
 
-from .context import GroupContext, Record
-from .errors import BalanceViolation, ResidueClash, UnknownGenerator, ZeroResidue
+from .context import GroupContext, Record, integers
+from .errors import BalanceViolation, ResidueClash, ZeroResidue
 
 
 class MirroredPermutation(Record):
@@ -21,7 +21,7 @@ class MirroredPermutation(Record):
 
 
 def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
-    entries = tuple(int(e) for e in entries)
+    entries = integers(entries)
     N = ctx.N
     if len(entries) != 2 * ctx.n:
         raise ResidueClash(f"window must have {2 * ctx.n} entries")
@@ -43,47 +43,6 @@ def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
 
 def identity(ctx: GroupContext) -> MirroredPermutation:
     return MirroredPermutation(ctx, tuple(range(1, 2 * ctx.n + 1)))
-
-
-def _base_image(ctx: GroupContext, g: int, r: int) -> int:
-    """Image of position r in 1..n under the generator g."""
-    n = ctx.n
-    if g == 0:
-        if ctx.fork_at_zero:
-            if r == 1:
-                return -2
-            if r == 2:
-                return -1
-        elif r == 1:
-            return -1
-        return r
-    if g == n:
-        if ctx.fork_at_n:
-            if r == n - 1:
-                return n + 1
-            if r == n:
-                return n + 2
-        elif r == n:
-            return n + 1
-        return r
-    if r == g:
-        return g + 1
-    if r == g + 1:
-        return g
-    return r
-
-
-def generator_value(ctx: GroupContext, g: int, v: int) -> int:
-    """Value of the generator s_g, as a mirrored permutation, at v."""
-    if not 0 <= g <= ctx.n:
-        raise UnknownGenerator(f"no generator s{g} at rank {ctx.n}")
-    N = ctx.N
-    m, r = divmod(v, N)
-    if r == 0:
-        return v
-    if r <= ctx.n:
-        return m * N + _base_image(ctx, g, r)
-    return m * N + (N - _base_image(ctx, g, N - r))
 
 
 def _count_cond_n(w: MirroredPermutation) -> int:

@@ -1,7 +1,7 @@
 import pytest
 
 import coxabacus as cx
-from coxabacus import Family
+from coxabacus import Family, coxeter_matrix
 from coxabacus.abacus import (
     Abacus,
     apply_generator_abacus,
@@ -11,12 +11,12 @@ from coxabacus.abacus import (
     identity_abacus,
     is_even,
     make_abacus,
+    move_levels,
     runner_of,
     to_permutation,
 )
 from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
-from coxabacus.oracle import first_gap, gaps_between, last_bead, lowest_bead
-from coxabacus.window import generator_value
+from coxabacus.oracle import first_gap, gaps_between, generator_value, last_bead, lowest_bead
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)
@@ -124,8 +124,22 @@ def test_action_is_the_runner_map(tables):
                 assert len(generator_moves(ctx, g)) <= 4
 
 
-def test_generator_moves_cache_is_bounded():
-    assert generator_moves.cache_info().maxsize is not None
+def test_the_runner_table_satisfies_the_coxeter_relations(tables):
+    # (s_i s_j)^m(i,j) fixes every element, and each smaller power moves one
+    for (fam, n), table in tables.items():
+        ctx = cx.make_context(fam, n)
+        m, moves = coxeter_matrix(ctx), [generator_moves(ctx, g) for g in ctx.generators()]
+        for i in ctx.generators():
+            for j in ctx.generators():
+                moved = set()
+                for w in table.elements():
+                    x = start = from_permutation(w).levels
+                    for k in range(1, m[i][j] + 1):
+                        x = move_levels(move_levels(x, moves[j]), moves[i])
+                        if x != start:
+                            moved.add(k)
+                    assert x == start, (fam, n, i, j, start)
+                assert moved == set(range(1, m[i][j])), (fam, n, i, j)
 
 
 @pytest.mark.parametrize(

@@ -290,6 +290,22 @@ def test_words_keep_commas_and_the_empty_word(capsys, word, canonical):
     assert (code, out) == (0, canonical + "\n")
 
 
+@pytest.mark.parametrize("wrapped", ["[s1 s0]", "(s1 s0)", " [s1, s0] "])
+def test_words_may_be_wrapped_in_one_bracket_pair(capsys, wrapped):
+    argv = ("convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "bounded")
+    assert run(capsys, *argv, wrapped) == run(capsys, *argv, "s1 s0") == (0, "(2)\n", "")
+
+
+@pytest.mark.parametrize("word", ["[s1 s0", "s1 s0)", "[s1 s0)", "s1 [s0]"])
+def test_words_with_a_stray_bracket_exit_2(capsys, word):
+    code, out, err = run(
+        capsys, "convert", "--family", "CC", "--rank", "3",
+        "--from", "word", "--to", "bounded", word,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: MalformedText: unbalanced brackets: {word!r}\n"
+
+
 @pytest.mark.parametrize(
     "rep, text, error",
     [("window", "[a]", MalformedText), ("root", "(x)", MalformedText),

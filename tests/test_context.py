@@ -2,8 +2,10 @@ import pickle
 
 import pytest
 
+import coxabacus as cx
 from coxabacus import Family, GroupContext, coxeter_matrix, make_context
-from coxabacus.errors import RankTooSmall
+from coxabacus.context import integers
+from coxabacus.errors import MalformedText, RankTooSmall
 
 ALL_FAMILIES = list(Family)
 
@@ -99,3 +101,31 @@ def test_direct_construction_derives_the_constants():
     cc = GroupContext(Family.C_OVER_C, 4)
     assert cc == make_context(Family.C_OVER_C, 4)
     assert (cc.fork_at_zero, cc.fork_at_n, cc.x0, cc.xn, cc.N) == (False, False, 0, 0, 9)
+
+
+C3 = GroupContext(Family.C_OVER_C, 3)
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: cx.make_abacus(C3, (1.7, 0, 0, 0, 0, -1.7)), "1.7"),
+        (lambda: cx.from_coordinates(cx.RootPoint(C3, (1.5, 0, 0))), "1.5"),
+        (lambda: cx.from_coordinates(cx.RootPoint(C3, ("1", 0, 0))), "'1'"),
+        (lambda: cx.make_core(C3, (3.0, 1, 1)), "3.0"),
+        (lambda: cx.make_bounded(C3, (2.5,)), "2.5"),
+        (lambda: cx.from_base_window(C3, (1, 2, 3.0, 4, 5, 6)), "3.0"),
+        (lambda: make_context(Family.C_OVER_C, 3.0), "3.0"),
+    ],
+)
+def test_non_integers_raise_malformed_text(build, bad):
+    # int() would truncate 1.7 to 1 and read "1" as 1: neither is an element
+    with pytest.raises(MalformedText) as err:
+        build()
+    assert str(err.value) == f"not an integer: {bad}"
+
+
+def test_integers_take_what_operator_index_takes():
+    assert integers([3, True, -2]) == (3, 1, -2)
+    assert integers(x for x in (1, 2)) == (1, 2)
+    assert integers(()) == ()

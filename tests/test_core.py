@@ -18,6 +18,7 @@ from coxabacus.core import (
 )
 from coxabacus.errors import (
     CoxabacusError,
+    MalformedText,
     NotACore,
     NotSymmetric,
     ParityViolation,
@@ -156,7 +157,7 @@ def test_validate_core_calls_a_non_partition_asymmetric(rows):
 
 
 def test_make_core_rejects_non_integer_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedText, match="'x'"):
         make_core(C3, (3, "x"))
 
 
