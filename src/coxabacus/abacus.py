@@ -10,7 +10,7 @@ ascent walk and Bruhat order all run on it.
 from __future__ import annotations
 
 from .context import GroupContext, Record, integers
-from .errors import BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
+from .errors import BadRequest, BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
 from .window import MirroredPermutation, normalize
 
 
@@ -150,42 +150,37 @@ def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
 # --- Bruhat order --------------------------------------------------------
 #
 # Containment of the core diagrams is not the Bruhat order here: in the
-# families with a fork at s_n, two cores can satisfy lambda >= mu box by
-# box while the underlying elements are incomparable, because partial rows
-# inside an escalator sit on definite fork branches that must match up.
-# (Smallest case: mu = (3,3,2) inside lambda = (5,4,2,2,1) at n = 3 with
-# the fork at s_3; the elements have lengths 5 and 6 but are unrelated.)
-# So the order is computed by descent induction: x <= w iff
+# families with a fork at s_0 (B~/B) or at s_n (B~/D, D~/D), two cores can
+# satisfy lambda >= mu box by box while the elements are incomparable.  At
+# n = 3, (6,3,2,1,1,1) inside (7,4,4,4,1,1,1) in B~/B and (3,3,2) inside
+# (5,4,2,2,1) in B~/D are cores of lengths 5 and 6 yet unrelated.
+# So the order is computed by descent induction (Property Z): x <= w iff
 # min(x, s_g x) <= s_g w for any descent g of w, grounded at the identity.
 # One layer at a time, the same rule gives the covers: see lower_covers.
 
-def descent_chain(a: Abacus) -> list[tuple[tuple[int, ...], tuple]]:
-    """The (levels, moves) steps of a's first descents, down to the identity."""
-    tables = [generator_moves(a.ctx, g) for g in a.ctx.generators()]
-    chain, x = [], a.levels
-    while any(x):
-        moves = next((m for m in tables if size_change(a.ctx.n, x, m) < 0), None)
-        if moves is None:
-            raise NotACore(f"levels {x} have no descent")
-        chain.append((x, moves))
-        x = move_levels(x, moves)
-    return chain
-
-
-def chain_contains(chain, b: Abacus) -> bool:
-    """b moves down along a descent chain where it can: below iff it meets it."""
-    y = b.levels
-    for x, moves in chain:
-        if x == y:
-            return True
-        if size_change(b.ctx.n, y, moves) < 0:
-            y = move_levels(y, moves)
-    return not any(y)
+def first_descent(n: int, levels: tuple[int, ...], tables) -> tuple:
+    """The moves of the first generator in tables that lowers the core, if any."""
+    for moves in tables:
+        if size_change(n, levels, moves) < 0:
+            return moves
+    raise NotACore(f"levels {levels} have no descent")
 
 
 def bruhat_leq(x: Abacus, w: Abacus) -> bool:
-    """x <= w in Bruhat order, by walking x down w's descent chain."""
-    return chain_contains(descent_chain(w), x)
+    """x <= w in Bruhat order, by one lockstep walk: w steps down by its
+    first descent, x takes the same step when it is a descent of x too, and
+    x <= w iff the two walks meet."""
+    if x.ctx != w.ctx:
+        x_in, w_in = (f"{a.ctx.family.value} at rank {a.ctx.n}" for a in (x, w))
+        raise BadRequest(f"x is in {x_in}, w in {w_in}")
+    n, tables = w.ctx.n, [generator_moves(w.ctx, g) for g in w.ctx.generators()]
+    y, v = x.levels, w.levels
+    while v != y and any(v):
+        moves = first_descent(n, v, tables)
+        v = move_levels(v, moves)
+        if size_change(n, y, moves) < 0:
+            y = move_levels(y, moves)
+    return v == y
 
 
 def lower_covers(layers) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -194,7 +189,7 @@ def lower_covers(layers) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     ctx, covers = layers[0][0].ctx, {layers[0][0].levels: []}  # the identity
     n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
     for w in (a.levels for layer in layers[1:] for a in layer):
-        moves = next(m for m in tables if size_change(n, w, m) < 0)
+        moves = first_descent(n, w, tables)
         down = move_levels(w, moves)
         ups = (move_levels(y, moves) for y in covers[down] if size_change(n, y, moves) > 0)
         covers[w] = [down, *ups]

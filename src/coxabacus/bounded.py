@@ -77,6 +77,7 @@ def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
                 raise MalformedBounded(f"part {p} repeated")
             seen.add(p)
     if star is not None:
+        (star,) = integers((star,))
         if star_size(ctx) is None:
             raise MalformedBounded("family does not admit a star")
         if not (0 <= star < len(parts)) or parts[star] != star_size(ctx):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter, index
 
-from .errors import MalformedText, RankTooSmall
+from .errors import BadRequest, MalformedText, RankTooSmall
 
 
 class Family(Enum):
@@ -98,6 +98,8 @@ def integers(values) -> tuple[int, ...]:
 
 
 def make_context(family: Family, n: int) -> GroupContext:
+    if not isinstance(family, Family):
+        raise BadRequest(f"not a Family: {family!r}")
     (n,) = integers((n,))
     if n < MIN_RANK[family]:
         raise RankTooSmall(

@@ -42,8 +42,9 @@ class NotSymmetric(CoxabacusError):
 
 
 class BadRequest(CoxabacusError):
-    """A request outside what a command answers: a negative length bound,
-    an unknown representation name, or a window entry too long to print."""
+    """A request outside what a command answers: a negative length bound, an
+    unknown family or representation, a window entry too long to print, or
+    a Bruhat comparison across two groups."""
 
 
 class MalformedText(CoxabacusError):

@@ -39,10 +39,12 @@ def test_identity_abacus():
 
 
 def test_rejects_unbalanced_levels():
-    with pytest.raises(BalanceViolation):
+    with pytest.raises(BalanceViolation) as err:
         make_abacus(C3, (1, 0, 0, 0, 0, 0))
-    with pytest.raises(BalanceViolation):
+    assert str(err.value) == "levels of runners 1 and 6 do not cancel"
+    with pytest.raises(BalanceViolation) as err:
         make_abacus(C3, (1, 0, 0, 0))
+    assert str(err.value) == "need 6 runner levels"
 
 
 def test_bead_positions():

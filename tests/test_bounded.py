@@ -61,6 +61,13 @@ def test_part_bound():
         make_bounded(D4, (7,))
 
 
+def test_parts_positive():
+    for parts in [(2, 0), (0,), (3, -1)]:
+        with pytest.raises(MalformedBounded) as err:
+            make_bounded(C3, parts)
+        assert str(err.value) == "parts must be positive"
+
+
 def test_small_parts_distinct():
     with pytest.raises(MalformedBounded):
         make_bounded(C3, (2, 2))

@@ -5,7 +5,7 @@ import pytest
 import coxabacus as cx
 from coxabacus import Family, GroupContext, coxeter_matrix, make_context
 from coxabacus.context import integers
-from coxabacus.errors import MalformedText, RankTooSmall
+from coxabacus.errors import BadRequest, MalformedText, RankTooSmall
 
 ALL_FAMILIES = list(Family)
 
@@ -104,6 +104,7 @@ def test_direct_construction_derives_the_constants():
 
 
 C3 = GroupContext(Family.C_OVER_C, 3)
+BD3 = GroupContext(Family.B_OVER_D, 3)
 
 
 @pytest.mark.parametrize(
@@ -114,6 +115,8 @@ C3 = GroupContext(Family.C_OVER_C, 3)
         (lambda: cx.from_coordinates(cx.RootPoint(C3, ("1", 0, 0))), "'1'"),
         (lambda: cx.make_core(C3, (3.0, 1, 1)), "3.0"),
         (lambda: cx.make_bounded(C3, (2.5,)), "2.5"),
+        (lambda: cx.make_bounded(BD3, (2,), 0.0), "0.0"),
+        (lambda: cx.make_bounded(BD3, (2,), "0"), "'0'"),
         (lambda: cx.from_base_window(C3, (1, 2, 3.0, 4, 5, 6)), "3.0"),
         (lambda: make_context(Family.C_OVER_C, 3.0), "3.0"),
     ],
@@ -123,6 +126,13 @@ def test_non_integers_raise_malformed_text(build, bad):
     with pytest.raises(MalformedText) as err:
         build()
     assert str(err.value) == f"not an integer: {bad}"
+
+
+def test_family_by_name_is_a_typed_error():
+    # the CLI maps names to members; the library takes only a member
+    with pytest.raises(BadRequest) as err:
+        make_context("CC", 3)
+    assert str(err.value) == "not a Family: 'CC'"
 
 
 def test_integers_take_what_operator_index_takes():

@@ -1,10 +1,12 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import bruhat_leq, descent_chain, generator_moves, move_levels, size_change
+from coxabacus.abacus import bruhat_leq, first_descent, generator_moves, move_levels, size_change
 from coxabacus.context import MIN_RANK
 from coxabacus.core import (
     CorePartition,
@@ -17,6 +19,7 @@ from coxabacus.core import (
     validate_core,
 )
 from coxabacus.errors import (
+    BadRequest,
     CoxabacusError,
     MalformedText,
     NotACore,
@@ -248,15 +251,57 @@ def test_core_size_formula(tables):
                 assert change == core_size(moved) - core_size(a)
 
 
-def test_descent_chain_has_one_step_per_letter(tables):
+def test_first_descent_walk_has_one_step_per_letter(tables):
     for (fam, n), table in tables.items():
+        ctx = cx.make_context(fam, n)
+        moves_of = [generator_moves(ctx, g) for g in ctx.generators()]
         for w in table.elements():
             a = cx.from_permutation(w)
-            chain = descent_chain(a)
-            assert len(chain) == cx.length_from_abacus(a) == table.length(w)
-            if chain:
-                last, moves = chain[-1]
-                assert chain[0][0] == a.levels and not any(move_levels(last, moves))
+            levels, steps = a.levels, 0
+            while any(levels):
+                levels = move_levels(levels, first_descent(n, levels, moves_of))
+                steps += 1
+            assert steps == cx.length_from_abacus(a) == table.length(w)
+        with pytest.raises(NotACore):
+            first_descent(n, cx.identity_abacus(ctx).levels, moves_of)
+
+
+def test_bruhat_leq_rejects_mixed_contexts():
+    bd3, c4 = cx.make_context(Family.B_OVER_D, 3), cx.make_context(Family.C_OVER_C, 4)
+    x = cx.abacus_from_word(C3, [1, 0])
+    for left, right, message in [
+        (x, cx.abacus_from_word(bd3, [3, 2, 1, 0]), "x is in C~/C at rank 3, w in B~/D at rank 3"),
+        (x, cx.abacus_from_word(c4, [2, 1, 0]), "x is in C~/C at rank 3, w in C~/C at rank 4"),
+        (cx.abacus_from_word(c4, [2, 1, 0]), x, "x is in C~/C at rank 4, w in C~/C at rank 3"),
+    ]:
+        with pytest.raises(BadRequest) as err:
+            bruhat_leq(left, right)
+        assert str(err.value) == message
+
+
+C20 = cx.make_context(Family.C_OVER_C, 20)
+
+
+def test_bruhat_leq_of_a_long_element_with_itself_is_immediate():
+    a = cx.from_coordinates(cx.RootPoint(C20, tuple((40 - 2 * i) * (-1) ** i for i in range(20))))
+    assert cx.length_from_abacus(a) == 11270
+    start = time.perf_counter()
+    assert bruhat_leq(a, a)
+    assert time.perf_counter() - start < 0.01  # a walk down all 11,270 steps takes ~80 ms
+
+
+def test_bruhat_leq_holds_two_level_vectors_not_the_walk():
+    point = (12, -11, 10, -9, 8, -7, 6, -5, 4, -3, 2, -1) + (0,) * 8
+    a = cx.from_coordinates(cx.RootPoint(C20, point))
+    assert cx.length_from_abacus(a) == 2374
+    e = cx.identity_abacus(C20)
+    tracemalloc.start()
+    try:
+        assert bruhat_leq(e, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # one stored level vector per step would be ~0.9 MB
 
 
 def test_contains_past_the_recursion_limit():

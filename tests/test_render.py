@@ -39,6 +39,15 @@ def test_abacus_text_marks_beads():
     assert "(8)" not in out  # first gap of the identity
 
 
+def test_abacus_text_cells_fit_the_last_row():
+    # at n = 25 the last row's labels reach 101, one digit more than the
+    # row above; every cell is the widest label plus 4
+    a = cx.identity_abacus(cx.make_context(Family.C_OVER_C, 25))
+    lines = render_abacus_text(a).splitlines()
+    assert lines[-1].split()[-1] == "101"
+    assert {len(line) for line in lines} == {50 * (len("101") + 4)}
+
+
 def test_abacus_text_deterministic():
     a = cx.to_abacus(golden_core())
     assert render_abacus_text(a) == render_abacus_text(a)

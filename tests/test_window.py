@@ -36,23 +36,31 @@ def test_golden_window_validates():
 
 
 def test_rejects_zero_residue():
-    with pytest.raises(ZeroResidue):
+    with pytest.raises(ZeroResidue) as err:
         from_base_window(C3, [7, 2, 3, 4, 5, -1])
+    assert str(err.value) == "entry 7 is divisible by N=7"
 
 
 def test_rejects_residue_clash():
-    with pytest.raises(ResidueClash):
+    with pytest.raises(ResidueClash) as err:
         from_base_window(C3, [1, 8, 3, 4, -1, 6])
+    assert str(err.value) == "entries 1 and 8 agree mod N=7"
 
 
 def test_rejects_unbalanced():
-    with pytest.raises(BalanceViolation):
-        from_base_window(C3, [2, 1, 3, 4, 5, 6])
+    for window, message in [
+        ([2, 1, 3, 4, 5, 6], "w(1) + w(6) = 8 != 7"),
+        ([1, 3, 2, 4, 5, 6], "w(2) + w(5) = 8 != 7"),
+    ]:
+        with pytest.raises(BalanceViolation) as err:
+            from_base_window(C3, window)
+        assert str(err.value) == message
 
 
 def test_rejects_wrong_length():
-    with pytest.raises(ResidueClash):
+    with pytest.raises(ResidueClash) as err:
         from_base_window(C3, [1, 2, 3, 4])
+    assert str(err.value) == "window must have 6 entries"
 
 
 def test_generators_are_involutions():
