@@ -3,11 +3,9 @@ enumeration, rendering, and Bruhat poset export."""
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
-import os
 import sys
+from types import SimpleNamespace
 
 from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, lower_covers
 from .abacus import make_abacus, to_permutation
@@ -38,12 +36,22 @@ FAMILY_ALIASES = {
     "D~/D": Family.D_OVER_D, "DD": Family.D_OVER_D,
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+# The command line grammar, which `build_parser` and `_plain_args` both read:
+# each command's help, its flags as (flag, dest, choices or int, default),
+# a default of None making the flag required, and whether a value ends it.
+_FAMILY = ("--family", "family", tuple(sorted(FAMILY_ALIASES)), None)
+_RANK = ("--rank", "rank", int, None)
+_SOURCE = ("--from", "source", REPRESENTATIONS, None)
+_TARGET = ("--to", "target", REPRESENTATIONS, None)
+_MAX_LEN = ("--max-len", "max_len", int, None)
+_DRAWING = ("--render", "what", ("abacus", "core", "bounded", "peel-trace"), None)
+_FORMAT = ("--format", "format", ("text", "svg"), "text")
+COMMANDS = {
+    "convert": ("convert between representations", (_FAMILY, _RANK, _SOURCE, _TARGET), True),
+    "enumerate": ("list all elements up to a length", (_FAMILY, _RANK, _MAX_LEN), False),
+    "render": ("draw a diagram", (_FAMILY, _RANK, _SOURCE, _DRAWING, _FORMAT), True),
+    "poset": ("Bruhat order as a DOT digraph", (_FAMILY, _RANK, _MAX_LEN), False),
+}
 
 
 def _ints(text: str) -> list[int]:
@@ -122,50 +130,67 @@ def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
     }
 
 
-def _add_group_flags(p):
-    p.add_argument("--family", required=True, choices=sorted(FAMILY_ALIASES))
-    p.add_argument("--rank", required=True, type=int)
-
-
 def _context(args) -> GroupContext:
     return make_context(FAMILY_ALIASES[args.family], args.rank)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first call and shared by every
-    later one in the process.  It holds no per-call state: `parse_args`
-    returns a fresh `Namespace`, and `_Parser.error` and the help and usage
-    printers look up `sys.stderr` and `sys.stdout` when they run."""
+    """The argparse parser of `COMMANDS`, for the argv that `_plain_args`
+    declines: help, usage errors and the forms it leaves out.  Built on the
+    first such call and shared by every later one in the process.  It holds
+    no per-call state: `parse_args` returns a fresh `Namespace`, and `error`
+    and the help and usage printers look up `sys.stderr` and `sys.stdout`."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     top = _Parser(prog="coxabacus")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert between representations")
-    _add_group_flags(p)
-    p.add_argument("--from", dest="source", required=True, choices=REPRESENTATIONS)
-    p.add_argument("--to", dest="target", required=True, choices=REPRESENTATIONS)
-    p.add_argument("value")
-
-    p = sub.add_parser("enumerate", help="list all elements up to a length")
-    _add_group_flags(p)
-    p.add_argument("--max-len", required=True, type=int)
-
-    p = sub.add_parser("render", help="draw a diagram")
-    _add_group_flags(p)
-    p.add_argument("--from", dest="source", required=True, choices=REPRESENTATIONS)
-    p.add_argument(
-        "--render",
-        dest="what",
-        required=True,
-        choices=("abacus", "core", "bounded", "peel-trace"),
-    )
-    p.add_argument("--format", default="text", choices=("text", "svg"))
-    p.add_argument("value")
-
-    p = sub.add_parser("poset", help="Bruhat order as a DOT digraph")
-    _add_group_flags(p)
-    p.add_argument("--max-len", required=True, type=int)
+    for command, (help_text, flags, takes_value) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, dest, kind, default in flags:
+            check = {"type": int} if kind is int else {"choices": kind}
+            p.add_argument(flag, dest=dest, required=default is None, default=default, **check)
+        if takes_value:
+            p.add_argument("value")
     return top
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns for a plain, complete
+    argv: the command, each of its flags at most once as a separate
+    `--flag value` pair, and its value last, with no value that starts
+    with "-".  Any other argv gives None, and argparse decides it."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, flags, takes_value = COMMANDS[argv[0]]
+    tokens = argv[1:]
+    args = {"command": argv[0]}
+    if takes_value:
+        if not tokens or tokens[-1].startswith("-"):
+            return None
+        args["value"] = tokens.pop()
+    given = dict(zip(tokens[::2], tokens[1::2]))
+    if 2 * len(given) != len(tokens):  # an odd count or a repeated flag
+        return None
+    for flag, dest, kind, default in flags:
+        text = given.pop(flag, default)
+        if text is None or text.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                return None
+        elif text not in kind:
+            return None
+        args[dest] = text
+    return None if given else SimpleNamespace(**args)
 
 
 def cmd_convert(args) -> str:
@@ -174,6 +199,8 @@ def cmd_convert(args) -> str:
 
 
 def cmd_enumerate(args) -> str:
+    import json
+
     ctx = _context(args)
     lines = []
     for length, layer in enumerate(_layers(ctx, args.max_len)):
@@ -224,7 +251,8 @@ def cmd_poset(args) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     handler = {
         "convert": cmd_convert,
         "enumerate": cmd_enumerate,
@@ -240,6 +268,8 @@ def main(argv=None) -> int:
         print(out)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left, as `| head` does: stop quietly
+        import os
+
         with open(os.devnull, "w") as null:  # so the flush at exit raises nothing
             os.dup2(null.fileno(), sys.stdout.fileno())
         return 141

@@ -6,10 +6,11 @@ generator action on a core by scanning its cells for residues and on root
 points by hand, the core check by one hook per box, the abacus of a core
 by labelling its boundary path and the core of an abacus by walking its
 positions, central peeling, the bounded diagram read off the hooks of the
-core, and three length formulas.  Peeling removes the component of the
-last box of row d, d the number of boxes on the family's reference
-diagonal, until the core is empty: the letters form the canonical word
-and the recorded boxes its upper diagram."""
+core, and four length formulas, the last an inversion count on the
+window that shares no code with the abacus or the core.  Peeling removes
+the component of the last box of row d, d the number of boxes on the
+family's reference diagonal, until the core is empty: the letters form
+the canonical word and the recorded boxes its upper diagram."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .abacus import Abacus, bead_at, from_permutation, generator_moves, move_levels
 from .abacus import runner_of, size_change
-from .context import GroupContext
+from .context import Family, GroupContext
 from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
@@ -448,6 +449,31 @@ def length_from_abacus(a: Abacus) -> int:
     for v in range(N + 1, last_bead(a) + 1):
         if v % N != 0 and bead_at(a, v):
             total += 1 + ctx.x0 + ctx.xn if v > N + n else v - N + ctx.x0
+    return total
+
+
+# d(v), each family's term for one window entry v, fitted to the BFS lengths
+_SELF_INVERSIONS = {
+    Family.C_OVER_C: lambda v, N: abs(2 * v) // N + (v < 0),
+    Family.B_OVER_B: lambda v, N: abs(2 * v) // N - abs(v) // N,
+    Family.B_OVER_D: lambda v, N: abs(v) // N + (v < 0),
+    Family.D_OVER_D: lambda v, N: 0,
+}
+
+
+def length_from_window(w: MirroredPermutation) -> int:
+    """Inversions of the first n entries v of the minimal window, in O(n^2):
+    the sum over i < j of floor(|v_j - v_i| / N) + floor(|v_i + v_j| / N)
+    + [v_i + v_j < 0], plus d(v_i) for each i, after the inversion counts of
+    the affine types in Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    8.4-8.6."""
+    N, n = w.ctx.N, w.ctx.n
+    v = w.window[:n]
+    d = _SELF_INVERSIONS[w.ctx.family]
+    total = sum(d(x, N) for x in v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += abs(v[j] - v[i]) // N + abs(v[i] + v[j]) // N + (v[i] + v[j] < 0)
     return total
 
 

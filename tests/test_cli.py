@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -28,7 +30,20 @@ from coxabacus.errors import (
 GOLDEN = "[-11,-9,-1,8,16,18]"
 
 
+def assert_fast_path_agrees(argv):
+    """The hand parser declines argv or gives the options argparse gives,
+    and it declines every argv that argparse rejects."""
+    fast = cli._plain_args(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser().parse_args(list(argv)))
+        except SystemExit:
+            parsed = None
+    assert fast is None or vars(fast) == parsed
+
+
 def run(capsys, *argv):
+    assert_fast_path_agrees(argv)
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -147,17 +162,21 @@ def test_poset_dot(capsys):
 
 
 def test_usage_error_exits_one(capsys):
+    argv = ["convert", "--family", "CC", "--rank", "3", "--from", "window"]
+    assert_fast_path_agrees(argv)
     with pytest.raises(SystemExit) as err:
-        main(["convert", "--family", "CC", "--rank", "3", "--from", "window"])
+        main(argv)
     assert err.value.code == 1
 
 
 def test_unknown_family_exits_one(capsys):
+    argv = [
+        "convert", "--family", "XX", "--rank", "3",
+        "--from", "window", "--to", "core", GOLDEN,
+    ]
+    assert_fast_path_agrees(argv)
     with pytest.raises(SystemExit) as err:
-        main([
-            "convert", "--family", "XX", "--rank", "3",
-            "--from", "window", "--to", "core", GOLDEN,
-        ])
+        main(argv)
     assert err.value.code == 1
 
 
@@ -189,7 +208,8 @@ def test_unknown_representation_is_a_bad_request():
 def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     cached = cli.build_parser
     assert cached() is cached()
-    group = ["--family", "CC", "--rank", "3"]
+    # "--family=CC" is no plain pair, so every command here reaches argparse
+    group = ["--family=CC", "--rank", "3"]
     sequence = [
         ["convert", *group, "--from", "window"],
         ["convert", *group, "--from", "window", "--to", "core", GOLDEN],
@@ -198,6 +218,8 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
         ["enumerate", *group, "--max-len", "3"],
         ["convert", *group, "--from", "window", "--to", "core", "[2,1,3,4,6,5]"],
     ]
+
+    assert all(cli._plain_args(argv) is None for argv in sequence)
 
     def outcomes():
         results = []
@@ -216,6 +238,82 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     assert outcomes() == shared
     assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 2]
     assert shared[2][1].startswith("<svg") and not shared[3][1].startswith("<svg")
+
+
+def test_plain_commands_never_build_the_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("a plain command reached argparse")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    group = ["--family", "CC", "--rank", "3"]
+    codes = [main(argv) for argv in (
+        ["convert", *group, "--from", "window", "--to", "core", GOLDEN],
+        ["enumerate", *group, "--max-len", "3"],
+        ["poset", *group, "--max-len", "3"],
+        ["render", *group, "--from", "window", "--render", "abacus", GOLDEN],
+        ["render", *group, "--format", "svg", "--render", "core", "--from", "window", GOLDEN],
+        ["convert", *group, "--from", "window", "--to", "core", "[2,1,3,4,6,5]"],
+    )]
+    assert codes == [0, 0, 0, 0, 0, 2]
+
+
+# each flag's good values, then bad ones: bad choices, non-integers and
+# numbers that start with "-", which argparse takes when they match its
+# negative-number pattern; the good integers may start with a space or "+"
+FLAG_VALUES = {
+    "--family": (("CC", "B~/D"), ("XX", "cc", "")),
+    "--rank": (("3", "4", " 3", "+3"), ("-3", "-3_0", "x", "3.0")),
+    "--from": (("window", "levels"), ("hook",)),
+    "--to": (("core", "word"), ("Core",)),
+    "--render": (("abacus", "peel-trace"), ("trace",)),
+    "--format": (("text", "svg"), ("png",)),
+    "--max-len": (("3", "0"), ("-1", "two")),
+}
+VALUES = (("s1 s0", "", "(5,5,4,2,1)", GOLDEN), ("-1", "-s1"))
+STRAYS = (["-h"], ["--help"], ["--"], ["-"], ["x"], ["--max-len", "3"], ["--to", "core"])
+FLAWS = (
+    "command", "dropped", "repeated", "abbreviated", "joined", "bare", "bad",
+    "stray", "unvalued", "moved", "dashed",
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command's plain argv, its flags in any order, with up to two flaws:
+    a command that does not exist, a flag left out, repeated, abbreviated,
+    joined to its value by "=", bare or given a bad value, a stray token
+    or pair, or the value missing, elsewhere or starting with "-"."""
+    pick = st.sampled_from
+    flaws = {kind: draw(st.integers(0, 5)) for kind in draw(st.lists(pick(FLAWS), max_size=2))}
+    command = "bogus" if "command" in flaws else draw(pick(list(cli.COMMANDS)))
+    _, flags, takes_value = cli.COMMANDS.get(command, cli.COMMANDS["render"])
+    pairs = []
+    for i, (flag, *_) in enumerate(flags):
+        good, bad = FLAG_VALUES[flag]
+        value = draw(pick(bad if flaws.get("bad") == i else good))
+        pair = [flag, value]
+        if flaws.get("abbreviated") == i:
+            pair = [flag[: draw(st.integers(3, len(flag) - 1))], value]
+        elif flaws.get("joined") == i:
+            pair = [f"{flag}={value}"]
+        elif flaws.get("bare") == i:
+            pair = [flag]
+        copies = 0 if flaws.get("dropped") == i else 2 if flaws.get("repeated") == i else 1
+        pairs += [pair] * copies
+    tokens = [command, *(t for pair in draw(st.permutations(pairs)) for t in pair)]
+    if takes_value and "unvalued" not in flaws:
+        at = draw(st.integers(1, len(tokens))) if "moved" in flaws else len(tokens)
+        tokens.insert(at, draw(pick(VALUES["dashed" in flaws])))
+    if "stray" in flaws:
+        at = draw(st.integers(1, len(tokens)))
+        tokens[at:at] = draw(pick(STRAYS))
+    return tokens
+
+
+@settings(max_examples=600, deadline=None)
+@given(argvs())
+def test_fast_path_declines_or_agrees_with_argparse(argv):
+    assert_fast_path_agrees(argv)
 
 
 def test_rank_too_small_exits_two(capsys):

@@ -223,6 +223,35 @@ def test_contains_is_partial_order(tables):
                         assert (a.levels, c.levels) in rel
 
 
+def _inside(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    """Containment of diagrams, on their rows: each row fits beside its twin."""
+    return len(small) <= len(big) and all(p <= q for p, q in zip(small, big))
+
+
+def _bruhat_and_containment(table):
+    abaci = [cx.from_permutation(w) for w in table.elements()]
+    rows = [from_abacus(a).rows for a in abaci]
+    return [
+        (bruhat_leq(x, w), _inside(rx, rw))
+        for x, rx in zip(abaci, rows)
+        for w, rw in zip(abaci, rows)
+    ]
+
+
+def test_c_over_c_bruhat_order_is_core_containment(tables):
+    for (fam, n), table in tables.items():
+        if fam is Family.C_OVER_C:
+            assert all(leq == inside for leq, inside in _bruhat_and_containment(table))
+
+
+def test_bruhat_order_implies_core_containment(tables):
+    # in the families with a fork the converse fails, as the README's note says
+    for (fam, n), table in tables.items():
+        pairs = _bruhat_and_containment(table)
+        assert all(inside for leq, inside in pairs if leq)
+        assert any(inside and not leq for leq, inside in pairs) == (fam is not Family.C_OVER_C)
+
+
 def test_covers_of_identity(tables):
     for (fam, n), table in tables.items():
         e = cx.identity_abacus(cx.make_context(fam, n))

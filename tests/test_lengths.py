@@ -1,9 +1,12 @@
+import random
+
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.oracle import (
     length_from_abacus,
     length_from_core,
     length_from_rimwalk,
+    length_from_window,
 )
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -22,6 +25,7 @@ def test_identity_has_length_zero():
         lam = cx.from_abacus(a)
         assert length_from_core(lam) == 0
         assert length_from_rimwalk(lam) == 0
+        assert length_from_window(cx.identity(ctx)) == 0
 
 
 def test_golden_c3_all_three():
@@ -29,6 +33,7 @@ def test_golden_c3_all_three():
     assert length_from_core(lam) == 17
     assert length_from_rimwalk(lam) == 17
     assert length_from_abacus(cx.to_abacus(lam)) == 17
+    assert length_from_window(cx.to_permutation(cx.to_abacus(lam))) == 17
 
 
 def test_golden_b3d3():
@@ -54,6 +59,7 @@ def test_agreement_with_bfs(tables):
             assert length_from_abacus(a) == target
             assert length_from_core(lam) == target
             assert length_from_rimwalk(lam) == target
+            assert length_from_window(w) == target
 
 
 def test_generator_changes_length_by_one(tables):
@@ -72,3 +78,20 @@ def test_generator_changes_length_by_one(tables):
                 assert du - dw in (-1, 0, 1)
                 if u.window != w.window:
                     assert du != dw
+
+
+def test_window_inversions_past_the_bfs():
+    # root points far past the BFS tables' length 8, where the fitted d terms
+    # could first go wrong; odd points are not elements in B~/B and D~/D
+    rng = random.Random(0)
+    for fam, n in [(Family.C_OVER_C, 3), (Family.B_OVER_B, 3), (Family.B_OVER_D, 4),
+                   (Family.D_OVER_D, 5), (Family.C_OVER_C, 8)]:
+        ctx = cx.make_context(fam, n)
+        for _ in range(40):
+            point = [rng.randint(-6, 6) for _ in range(n)]
+            if fam in (Family.B_OVER_B, Family.D_OVER_D) and sum(point) % 2:
+                point[0] += 1
+            a = cx.from_coordinates(cx.RootPoint(ctx, tuple(point)))
+            target = length_from_abacus(a)
+            assert length_from_window(cx.to_permutation(a)) == target
+            assert length_from_core(cx.from_abacus(a)) == target
