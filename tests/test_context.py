@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import pytest
@@ -8,6 +9,27 @@ from coxabacus.context import integers
 from coxabacus.errors import BadRequest, MalformedText, RankTooSmall
 
 ALL_FAMILIES = list(Family)
+
+
+def test_family_keeps_its_enum_surface():
+    names = ["C_OVER_C", "B_OVER_B", "B_OVER_D", "D_OVER_D"]
+    values = ["C~/C", "B~/B", "B~/D", "D~/D"]
+    assert [f.name for f in Family] == names and len(Family) == 4
+    assert [f.value for f in Family] == values
+    assert all(Family(v) is getattr(Family, n) for n, v in zip(names, values))
+    assert all(Family(f) is f for f in Family)
+    with pytest.raises(ValueError, match="'CC' is not a valid Family"):
+        Family("CC")
+    bd = Family.B_OVER_D
+    assert repr(bd) == "<Family.B_OVER_D: 'B~/D'>" and str(bd) == "Family.B_OVER_D"
+    assert isinstance(bd, Family) and bd != "B~/D"
+    assert {f: f.value for f in Family}[Family("B~/D")] == "B~/D"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(bd, protocol)) is bd
+    assert copy.copy(bd) is bd and copy.deepcopy(bd) is bd
+    with pytest.raises(AttributeError):
+        bd.value = "D~/D"
+    assert bd.value == "B~/D"
 
 
 def test_family_table():
