@@ -3,9 +3,7 @@ enumeration, rendering, and Bruhat poset export."""
 
 from __future__ import annotations
 
-import functools
 import sys
-from types import SimpleNamespace
 
 from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, lower_covers
 from .abacus import make_abacus, to_permutation
@@ -26,6 +24,8 @@ from .render import (
 )
 from .rootlattice import RootPoint, coordinates, from_coordinates
 from .window import from_base_window
+
+SimpleNamespace = type(sys.implementation)  # as the types module defines it, without importing it
 
 REPRESENTATIONS = ("window", "levels", "core", "bounded", "word", "root")
 
@@ -134,13 +134,10 @@ def _context(args) -> GroupContext:
     return make_context(FAMILY_ALIASES[args.family], args.rank)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of `COMMANDS`, for the argv that `_plain_args`
-    declines: help, usage errors and the forms it leaves out.  Built on the
-    first such call and shared by every later one in the process.  It holds
-    no per-call state: `parse_args` returns a fresh `Namespace`, and `error`
-    and the help and usage printers look up `sys.stderr` and `sys.stdout`."""
+    declines: help, usage errors and the forms it leaves out.  Built on each
+    such call, which a console command makes at most once."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):

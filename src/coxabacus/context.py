@@ -8,26 +8,9 @@ offsets used by the bounded-partition and length computations.
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter, index
 
 from .errors import BadRequest, MalformedText, RankTooSmall
-
-
-class Family(Enum):
-    C_OVER_C = "C~/C"
-    B_OVER_B = "B~/B"
-    B_OVER_D = "B~/D"
-    D_OVER_D = "D~/D"
-
-
-# smallest rank at which the Coxeter graph of the family is non-degenerate
-MIN_RANK = {
-    Family.C_OVER_C: 2,
-    Family.B_OVER_B: 3,
-    Family.B_OVER_D: 3,
-    Family.D_OVER_D: 4,
-}
 
 
 class Record:
@@ -63,6 +46,63 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Members(type):
+    """An Enum's class side, without importing enum: the upper-case names
+    of the class body become members, built from name and value, and the
+    class iterates and counts them in order and finds one by its value."""
+
+    def __init__(cls, name, bases, body):
+        super().__init__(name, bases, body)
+        cls._members = tuple(type.__call__(cls, k, v) for k, v in body.items() if k.isupper())
+        for member in cls._members:
+            setattr(cls, member.name, member)
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+    def __len__(cls):
+        return len(cls._members)
+
+    def __call__(cls, value):
+        for member in cls._members:
+            if value in (member, member.value):
+                return member
+        raise ValueError(f"{value!r} is not a valid {cls.__name__}")
+
+
+class Family(Record, metaclass=_Members):
+    """The four quotients, with the surface of an Enum; a member is
+    immutable and pickles and copies as itself."""
+
+    __slots__ = ("name", "value")
+    C_OVER_C = "C~/C"
+    B_OVER_B = "B~/B"
+    B_OVER_D = "B~/D"
+    D_OVER_D = "D~/D"
+
+    def __init__(self, name: str, value: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+
+    def __repr__(self):
+        return f"<Family.{self.name}: {self.value!r}>"
+
+    def __str__(self):
+        return f"Family.{self.name}"
+
+    def __reduce__(self):
+        return Family, (self.value,)
+
+
+# smallest rank at which the Coxeter graph of the family is non-degenerate
+MIN_RANK = {
+    Family.C_OVER_C: 2,
+    Family.B_OVER_B: 3,
+    Family.B_OVER_D: 3,
+    Family.D_OVER_D: 4,
+}
 
 
 class GroupContext(Record, fields=("family", "n")):

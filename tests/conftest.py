@@ -13,6 +13,11 @@ STANDARD_CASES = (
 )
 
 
+def pytest_make_parametrize_id(config, val, argname):
+    """Name a Family parameter `Family.C_OVER_C`, as pytest names an Enum."""
+    return str(val) if isinstance(val, Family) else None
+
+
 @pytest.fixture(scope="session")
 def tables():
     """BFS tables up to length 8 for the standard family/rank cases."""

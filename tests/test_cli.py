@@ -161,6 +161,36 @@ def test_poset_dot(capsys):
     assert out.count("->") >= 6
 
 
+def test_render_draws_the_asked_diagram_in_the_asked_format(capsys):
+    from coxabacus import render
+
+    a = parse_element(make_context(Family.B_OVER_D, 3), "bounded", "(3*,2)")
+    beta, lam = cx.bounded_from_abacus(a), cx.from_abacus(a)
+    expected = {
+        ("abacus", "text"): render.render_abacus_text(a),
+        ("abacus", "svg"): render.render_abacus_svg(a),
+        ("core", "text"): render.render_core_text(lam),
+        ("core", "svg"): render.render_core_svg(lam),
+        ("bounded", "text"): render.render_bounded_text(beta),
+        ("bounded", "svg"): render.render_bounded_svg(beta),
+        ("peel-trace", "text"): render.render_peel_trace(a, "text"),
+        ("peel-trace", "svg"): render.render_peel_trace(a, "svg"),
+    }
+    assert len(set(expected.values())) == len(expected)  # a swap would show
+    for (what, fmt), drawing in expected.items():
+        code, out, _ = run(capsys, "render", "--family", "BD", "--rank", "3", "--from", "bounded",
+                           "--render", what, "--format", fmt, "(3*,2)")
+        assert (code, out) == (0, drawing + "\n")
+
+
+def test_max_len_zero_gives_the_identity_alone(capsys):
+    code, out, _ = run(capsys, "enumerate", "--family", "CC", "--rank", "2", "--max-len", "0")
+    assert code == 0
+    assert [json.loads(line)["bounded"] for line in out.splitlines()] == ["()"]
+    code, out, _ = run(capsys, "poset", "--family", "CC", "--rank", "2", "--max-len", "0")
+    assert (code, out) == (0, 'digraph bruhat {\n  n0 [label="()"];\n}\n')
+
+
 def test_usage_error_exits_one(capsys):
     argv = ["convert", "--family", "CC", "--rank", "3", "--from", "window"]
     assert_fast_path_agrees(argv)
@@ -205,9 +235,9 @@ def test_unknown_representation_is_a_bad_request():
         format_element(parse_element(ctx, "levels", "(0,0,0,0,0,0)"), "hook")
 
 
-def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
-    cached = cli.build_parser
-    assert cached() is cached()
+def test_argparse_fallback_keeps_no_state_between_calls(capsys):
+    # no parser is kept between calls: each argv that reaches argparse builds one
+    assert cli.build_parser() is not cli.build_parser()
     # "--family=CC" is no plain pair, so every command here reaches argparse
     group = ["--family=CC", "--rank", "3"]
     sequence = [
@@ -232,12 +262,10 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
             results.append((code, captured.out, captured.err))
         return results
 
-    shared = outcomes()
-    monkeypatch.setattr(cli, "build_parser", cached.__wrapped__)
-    assert cli.build_parser() is not cached()
-    assert outcomes() == shared
-    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 2]
-    assert shared[2][1].startswith("<svg") and not shared[3][1].startswith("<svg")
+    first = outcomes()
+    assert outcomes() == first
+    assert [code for code, _, _ in first] == [1, 0, 0, 0, 0, 2]
+    assert first[2][1].startswith("<svg") and not first[3][1].startswith("<svg")
 
 
 def test_plain_commands_never_build_the_parser(capsys, monkeypatch):
@@ -412,6 +440,26 @@ def test_words_with_a_stray_bracket_exit_2(capsys, word):
 def test_non_integer_tokens_raise_typed_errors(rep, text, error):
     with pytest.raises(error):
         parse_element(make_context(Family.C_OVER_C, 3), rep, text)
+
+
+# a fresh interpreter, isolated and without site, with the library last on
+# sys.path, where an installed package sits; it runs one plain command and
+# prints its exit code and the unwanted modules it loaded
+PLAIN_COMMAND = """
+import sys
+sys.path.append(sys.argv[1])
+from coxabacus import cli
+code = cli.main(["convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "bounded", "s1 s0"])
+unwanted = ("enum", "functools", "collections", "types", "argparse", "json", "coxabacus.oracle")
+print(code, *(m for m in unwanted if m in sys.modules))
+"""
+
+
+def test_a_plain_command_loads_only_the_engine():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", PLAIN_COMMAND, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines() == ["(2)", "0"]
 
 
 def test_closed_stdout_exits_quietly():

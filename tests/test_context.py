@@ -96,6 +96,12 @@ def test_symmetry_of_matrix():
                 assert m[i][j] == m[j][i]
 
 
+def test_coxeter_matrix_has_a_row_and_a_column_per_generator():
+    for fam in ALL_FAMILIES:
+        m = coxeter_matrix(make_context(fam, 5))
+        assert len(m) == 6 and all(len(row) == 6 for row in m)
+
+
 def test_context_identity_is_family_and_rank():
     ctx = make_context(Family.B_OVER_D, 4)
     assert repr(ctx) == "GroupContext(family=<Family.B_OVER_D: 'B~/D'>, n=4)"
