@@ -48,31 +48,29 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _Members(type):
-    """An Enum's class side, without importing enum: the upper-case names
-    of the class body become members, built from name and value, and the
-    class iterates and counts them in order and finds one by its value."""
+class _FamilyType(type):
+    """Enum's class side for Family, without importing enum: the upper-case
+    names of the body become members, found by value in one dict lookup."""
 
     def __init__(cls, name, bases, body):
         super().__init__(name, bases, body)
-        cls._members = tuple(type.__call__(cls, k, v) for k, v in body.items() if k.isupper())
-        for member in cls._members:
+        cls._by_value = {v: type.__call__(cls, k, v) for k, v in body.items() if k.isupper()}
+        for member in cls._by_value.values():
             setattr(cls, member.name, member)
 
     def __iter__(cls):
-        return iter(cls._members)
+        return iter(cls._by_value.values())
 
     def __len__(cls):
-        return len(cls._members)
+        return len(cls._by_value)
 
     def __call__(cls, value):
-        for member in cls._members:
-            if value in (member, member.value):
-                return member
-        raise ValueError(f"{value!r} is not a valid {cls.__name__}")
+        if value.__class__ is cls or value in cls._by_value:
+            return cls._by_value.get(value, value)
+        raise ValueError(f"{value!r} is not a valid Family")
 
 
-class Family(Record, metaclass=_Members):
+class Family(Record, metaclass=_FamilyType):
     """The four quotients, with the surface of an Enum; a member is
     immutable and pickles and copies as itself."""
 
