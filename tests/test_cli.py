@@ -352,6 +352,16 @@ def test_rank_too_small_exits_two(capsys):
     assert "rank" in err
 
 
+def test_family_aliases_are_the_values_and_the_two_letter_names():
+    # the benchmark and the --family choices read this mapping
+    assert cli.FAMILY_ALIASES == {
+        "C~/C": Family.C_OVER_C, "CC": Family.C_OVER_C,
+        "B~/B": Family.B_OVER_B, "BB": Family.B_OVER_B,
+        "B~/D": Family.B_OVER_D, "BD": Family.B_OVER_D,
+        "D~/D": Family.D_OVER_D, "DD": Family.D_OVER_D,
+    }
+
+
 def test_window_source_rejects_non_minimal():
     ctx = make_context(Family.C_OVER_C, 3)
     with pytest.raises(NotMinimal):

@@ -68,6 +68,16 @@ def test_rank_minima(family, min_rank):
         make_context(family, min_rank - 1)
 
 
+@pytest.mark.parametrize(
+    "family, least",
+    [(Family.C_OVER_C, 2), (Family.B_OVER_B, 3), (Family.B_OVER_D, 3), (Family.D_OVER_D, 4)],
+)
+def test_rank_too_small_names_the_least_rank(family, least):
+    with pytest.raises(RankTooSmall) as err:
+        make_context(family, least - 1)
+    assert str(err.value) == f"family {family.value} requires rank >= {least}, got {least - 1}"
+
+
 def test_coxeter_matrix_c():
     ctx = make_context(Family.C_OVER_C, 3)
     m = coxeter_matrix(ctx)
