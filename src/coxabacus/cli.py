@@ -29,47 +29,27 @@ SimpleNamespace = type(sys.implementation)  # as the types module defines it, wi
 
 REPRESENTATIONS = ("window", "levels", "core", "bounded", "word", "root")
 
-FAMILY_ALIASES = {
-    "C~/C": Family.C_OVER_C, "CC": Family.C_OVER_C,
-    "B~/B": Family.B_OVER_B, "BB": Family.B_OVER_B,
-    "B~/D": Family.B_OVER_D, "BD": Family.B_OVER_D,
-    "D~/D": Family.D_OVER_D, "DD": Family.D_OVER_D,
-}
-
-# The command line grammar, which `build_parser` and `_plain_args` both read:
-# each command's help, its flags as (flag, dest, choices or int, default),
-# a default of None making the flag required, and whether a value ends it.
-_FAMILY = ("--family", "family", tuple(sorted(FAMILY_ALIASES)), None)
-_RANK = ("--rank", "rank", int, None)
-_SOURCE = ("--from", "source", REPRESENTATIONS, None)
-_TARGET = ("--to", "target", REPRESENTATIONS, None)
-_MAX_LEN = ("--max-len", "max_len", int, None)
-_DRAWING = ("--render", "what", ("abacus", "core", "bounded", "peel-trace"), None)
-_FORMAT = ("--format", "format", ("text", "svg"), "text")
-COMMANDS = {
-    "convert": ("convert between representations", (_FAMILY, _RANK, _SOURCE, _TARGET), True),
-    "enumerate": ("list all elements up to a length", (_FAMILY, _RANK, _MAX_LEN), False),
-    "render": ("draw a diagram", (_FAMILY, _RANK, _SOURCE, _DRAWING, _FORMAT), True),
-    "poset": ("Bruhat order as a DOT digraph", (_FAMILY, _RANK, _MAX_LEN), False),
-}
+FAMILY_ALIASES = {name: f for f in Family for name in (f.value, f.alias)}
 
 
-def _ints(text: str) -> list[int]:
+def _tokens(text: str) -> list[str]:
+    """The fields of a bracketed value, split on commas and spaces."""
     inner = unwrap(text, MalformedText)
     if "," in inner and not all(map(str.strip, inner.split(","))):
         raise MalformedText(f"empty field between commas: {text!r}")
+    return inner.replace(",", " ").split()
+
+
+def _ints(text: str) -> list[int]:
     try:
-        return list(map(int, inner.replace(",", " ").split()))
+        return list(map(int, _tokens(text)))
     except ValueError:
         raise MalformedText(f"not a list of integers: {text!r}") from None
 
 
 def _letters(text: str) -> list[int]:
-    fields = unwrap(text, MalformedText).split(",")
-    if len(fields) > 1 and not all(f.strip() for f in fields):
-        raise MalformedText(f"empty field between commas: {text!r}")
     try:
-        return [int(t.removeprefix("s")) for f in fields for t in f.split()]
+        return [int(t.removeprefix("s")) for t in _tokens(text)]
     except ValueError:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 
@@ -130,10 +110,6 @@ def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
     }
 
 
-def _context(args) -> GroupContext:
-    return make_context(FAMILY_ALIASES[args.family], args.rank)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of `COMMANDS`, for the argv that `_plain_args`
     declines: help, usage errors and the forms it leaves out.  Built on each
@@ -148,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = _Parser(prog="coxabacus")
     sub = top.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags, takes_value) in COMMANDS.items():
+    for command, (help_text, flags, takes_value, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag, dest, kind, default in flags:
             check = {"type": int} if kind is int else {"choices": kind}
@@ -165,7 +141,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     with "-".  Any other argv gives None, and argparse decides it."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, flags, takes_value = COMMANDS[argv[0]]
+    _, flags, takes_value, _ = COMMANDS[argv[0]]
     tokens = argv[1:]
     args = {"command": argv[0]}
     if takes_value:
@@ -190,15 +166,13 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     return None if given else SimpleNamespace(**args)
 
 
-def cmd_convert(args) -> str:
-    ctx = _context(args)
+def cmd_convert(ctx: GroupContext, args) -> str:
     return format_element(parse_element(ctx, args.source, args.value), args.target)
 
 
-def cmd_enumerate(args) -> str:
+def cmd_enumerate(ctx: GroupContext, args) -> str:
     import json
 
-    ctx = _context(args)
     lines = []
     for length, layer in enumerate(_layers(ctx, args.max_len)):
         for window, a in layer:
@@ -206,8 +180,7 @@ def cmd_enumerate(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_render(args) -> str:
-    ctx = _context(args)
+def cmd_render(ctx: GroupContext, args) -> str:
     a = parse_element(ctx, args.source, args.value)
     if args.what == "abacus":
         return (render_abacus_text if args.format == "text" else render_abacus_svg)(a)
@@ -243,21 +216,37 @@ def poset_dot(ctx: GroupContext, max_len: int) -> str:
     return "\n".join(lines + ["}"])
 
 
-def cmd_poset(args) -> str:
-    return poset_dot(_context(args), args.max_len)
+def cmd_poset(ctx: GroupContext, args) -> str:
+    return poset_dot(ctx, args.max_len)
+
+
+# The command line grammar, which `build_parser` and `_plain_args` both read:
+# each command's help, its flags as (flag, dest, choices or int, default),
+# a default of None making the flag required, whether a value ends it, and
+# its handler, called with the command's context and options.
+_FAMILY = ("--family", "family", tuple(sorted(FAMILY_ALIASES)), None)
+_RANK = ("--rank", "rank", int, None)
+_SOURCE = ("--from", "source", REPRESENTATIONS, None)
+_TARGET = ("--to", "target", REPRESENTATIONS, None)
+_MAX_LEN = ("--max-len", "max_len", int, None)
+_DRAWING = ("--render", "what", ("abacus", "core", "bounded", "peel-trace"), None)
+_FORMAT = ("--format", "format", ("text", "svg"), "text")
+COMMANDS = {
+    "convert": ("convert between representations", (_FAMILY, _RANK, _SOURCE, _TARGET), True,
+                cmd_convert),
+    "enumerate": ("list all elements up to a length", (_FAMILY, _RANK, _MAX_LEN), False,
+                  cmd_enumerate),
+    "render": ("draw a diagram", (_FAMILY, _RANK, _SOURCE, _DRAWING, _FORMAT), True, cmd_render),
+    "poset": ("Bruhat order as a DOT digraph", (_FAMILY, _RANK, _MAX_LEN), False, cmd_poset),
+}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv) or build_parser().parse_args(argv)
-    handler = {
-        "convert": cmd_convert,
-        "enumerate": cmd_enumerate,
-        "render": cmd_render,
-        "poset": cmd_poset,
-    }[args.command]
     try:
-        out = handler(args)
+        ctx = make_context(FAMILY_ALIASES[args.family], args.rank)
+        out = COMMANDS[args.command][3](ctx, args)
     except CoxabacusError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

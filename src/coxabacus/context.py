@@ -17,7 +17,8 @@ class Record:
     """A frozen value: its fields live in __slots__ and are set once, with
     object.__setattr__, by the subclass's own __init__.  Equality needs the
     same class; equality, hashing, repr and pickling see the fields named
-    by the `fields` class keyword (by default every slot), in order."""
+    by the `fields` class keyword (by default every slot), in order.  `_key`
+    gives them to equality and hashing, as a bare value for a single field."""
 
     __slots__ = ()
 
@@ -35,11 +36,11 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __reduce__(self):
-        return self.__class__, self._key(self)
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -49,12 +50,13 @@ class Record:
 
 
 class _FamilyType(type):
-    """Enum's class side for Family, without importing enum: the upper-case
-    names of the body become members, found by value in one dict lookup."""
+    """Enum's class side for Family, without importing enum: each upper-case
+    name of the body, bound to the fields of a member after its name,
+    becomes that member, found by value in one dict lookup."""
 
-    def __init__(cls, name, bases, body):
+    def __init__(cls, name, bases, body, **kwargs):  # kwargs: Record's class keywords
         super().__init__(name, bases, body)
-        cls._by_value = {v: type.__call__(cls, k, v) for k, v in body.items() if k.isupper()}
+        cls._by_value = {v[0]: type.__call__(cls, k, *v) for k, v in body.items() if k.isupper()}
         for member in cls._by_value.values():
             setattr(cls, member.name, member)
 
@@ -70,37 +72,29 @@ class _FamilyType(type):
         raise ValueError(f"{value!r} is not a valid Family")
 
 
-class Family(Record, metaclass=_FamilyType):
+class Family(Record, metaclass=_FamilyType, fields=("value",)):
     """The four quotients, with the surface of an Enum; a member is
-    immutable and pickles and copies as itself."""
+    immutable and pickles and copies as itself.  Each is Eriksson's C~ with
+    each end of the Coxeter graph kept (C flavor) or folded into a fork
+    (D flavor): a member holds its value, its two-letter alias, the least
+    rank at which its graph is non-degenerate, and whether s_0 and s_n are
+    forks."""
 
-    __slots__ = ("name", "value")
-    C_OVER_C = "C~/C"
-    B_OVER_B = "B~/B"
-    B_OVER_D = "B~/D"
-    D_OVER_D = "D~/D"
+    __slots__ = ("name", "value", "alias", "min_rank", "fork_at_zero", "fork_at_n")
+    C_OVER_C = ("C~/C", "CC", 2, False, False)
+    B_OVER_B = ("B~/B", "BB", 3, True, False)
+    B_OVER_D = ("B~/D", "BD", 3, False, True)
+    D_OVER_D = ("D~/D", "DD", 4, True, True)
 
-    def __init__(self, name: str, value: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"<Family.{self.name}: {self.value!r}>"
 
     def __str__(self):
         return f"Family.{self.name}"
-
-    def __reduce__(self):
-        return Family, (self.value,)
-
-
-# smallest rank at which the Coxeter graph of the family is non-degenerate
-MIN_RANK = {
-    Family.C_OVER_C: 2,
-    Family.B_OVER_B: 3,
-    Family.B_OVER_D: 3,
-    Family.D_OVER_D: 4,
-}
 
 
 class GroupContext(Record, fields=("family", "n")):
@@ -113,11 +107,9 @@ class GroupContext(Record, fields=("family", "n")):
     __slots__ = ("family", "n", "N", "fork_at_zero", "fork_at_n", "x0", "xn")
 
     def __init__(self, family: Family, n: int):
-        zero = family in (Family.B_OVER_B, Family.D_OVER_D)
-        end = family in (Family.B_OVER_D, Family.D_OVER_D)
-        for name, value in (("family", family), ("n", n), ("N", 2 * n + 1),
-                            ("fork_at_zero", zero), ("fork_at_n", end),
-                            ("x0", -1 if zero else 0), ("xn", -1 if end else 0)):
+        zero, end = family.fork_at_zero, family.fork_at_n
+        values = (family, n, 2 * n + 1, zero, end, -1 if zero else 0, -1 if end else 0)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def generators(self) -> range:
@@ -139,10 +131,8 @@ def make_context(family: Family, n: int) -> GroupContext:
     if not isinstance(family, Family):
         raise BadRequest(f"not a Family: {family!r}")
     (n,) = integers((n,))
-    if n < MIN_RANK[family]:
-        raise RankTooSmall(
-            f"family {family.value} requires rank >= {MIN_RANK[family]}, got {n}"
-        )
+    if n < family.min_rank:
+        raise RankTooSmall(f"family {family.value} requires rank >= {family.min_rank}, got {n}")
     return GroupContext(family, n)
 
 

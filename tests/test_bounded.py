@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.context import MIN_RANK
 from coxabacus.abacus import abacus_from_word, enumerate_abaci, generator_moves
 from coxabacus.bounded import (
     abacus_from_bounded,
@@ -131,7 +130,7 @@ def test_row_maps_walk_the_filling_word():
     # every family to rank 8, root coordinates up to 30 either side
     rng = random.Random(8)
     for fam in Family:
-        for n in range(MIN_RANK[fam], 9):
+        for n in range(fam.min_rank, 9):
             ctx = cx.make_context(fam, n)
             for _ in range(12):
                 point = [rng.randint(-30, 30) for _ in range(n)]

@@ -314,7 +314,7 @@ def argvs(draw):
     pick = st.sampled_from
     flaws = {kind: draw(st.integers(0, 5)) for kind in draw(st.lists(pick(FLAWS), max_size=2))}
     command = "bogus" if "command" in flaws else draw(pick(list(cli.COMMANDS)))
-    _, flags, takes_value = cli.COMMANDS.get(command, cli.COMMANDS["render"])
+    _, flags, takes_value, _ = cli.COMMANDS.get(command, cli.COMMANDS["render"])
     pairs = []
     for i, (flag, *_) in enumerate(flags):
         good, bad = FLAG_VALUES[flag]
@@ -453,23 +453,42 @@ def test_non_integer_tokens_raise_typed_errors(rep, text, error):
 
 
 # a fresh interpreter, isolated and without site, with the library last on
-# sys.path, where an installed package sits; it runs one plain command and
-# prints its exit code and the unwanted modules it loaded
-PLAIN_COMMAND = """
+# sys.path, where an installed package sits; it runs one command and prints
+# its exit code and the unwanted modules (argv[2], space-separated) it loaded
+ONE_COMMAND = """
 import sys
 sys.path.append(sys.argv[1])
 from coxabacus import cli
-code = cli.main(["convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "bounded", "s1 s0"])
-unwanted = ("enum", "functools", "collections", "types", "argparse", "json", "coxabacus.oracle")
-print(code, *(m for m in unwanted if m in sys.modules))
+try:
+    code = cli.main(sys.argv[3:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *(m for m in sys.argv[2].split() if m in sys.modules))
 """
+ENGINE_ONLY = "enum functools collections types argparse json coxabacus.oracle"
 
 
-def test_a_plain_command_loads_only_the_engine():
+@pytest.mark.parametrize(
+    "argv, unwanted",
+    [
+        (["convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "bounded", "s1 s0"],
+         ENGINE_ONLY),
+        (["poset", "--family", "BD", "--rank", "3", "--max-len", "5"], ENGINE_ONLY),
+        # json writes enumerate's records, and itself loads enum, functools, collections and types
+        (["enumerate", "--family", "DD", "--rank", "4", "--max-len", "6"], "argparse coxabacus.oracle"),
+        # argparse prints the help, and itself loads enum, functools, collections and types
+        (["--help"], "json coxabacus.oracle dataclasses inspect"),
+    ],
+    ids=["convert", "poset", "enumerate", "help"],
+)
+def test_a_plain_command_loads_only_the_engine(argv, unwanted):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", PLAIN_COMMAND, src],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", ONE_COMMAND, src, unwanted, *argv],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.splitlines() == ["(2)", "0"]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "0" and len(lines) > 1
+    if argv[0] == "convert":
+        assert lines == ["(2)", "0"]
 
 
 def test_closed_stdout_exits_quietly():

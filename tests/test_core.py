@@ -7,7 +7,6 @@ import pytest
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import bruhat_leq, first_descent, generator_moves, move_levels, size_change
-from coxabacus.context import MIN_RANK
 from coxabacus.core import (
     CorePartition,
     abacus_of,
@@ -54,7 +53,7 @@ def _random_abaci(seed, count, reach):
     as root points with coordinates in [-reach, reach]."""
     rng = random.Random(seed)
     for fam in Family:
-        for n in range(MIN_RANK[fam], 21):
+        for n in range(fam.min_rank, 21):
             ctx = cx.make_context(fam, n)
             for _ in range(count):
                 point = [rng.randint(-reach, reach) for _ in range(n)]

@@ -9,7 +9,7 @@ import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import Abacus
 from coxabacus.bounded import BoundedPartition
-from coxabacus.context import GroupContext
+from coxabacus.context import GroupContext, Record
 from coxabacus.core import CorePartition
 from coxabacus.rootlattice import RootPoint
 from coxabacus.window import MirroredPermutation
@@ -100,3 +100,22 @@ def test_fields_are_read_only(cls, fields, text):
             delattr(x, name)
         assert getattr(x, name) == before
     assert repr(x) == text
+
+
+class One(Record):
+    """A record of one field; no model class has one, but Record allows it."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        object.__setattr__(self, "x", x)
+
+
+@pytest.mark.parametrize("x", [(1, 2), 5, None])
+def test_a_one_field_record_shows_pickles_and_hashes_its_field(x):
+    one = One(x)
+    assert repr(one) == f"One(x={x!r})"
+    assert one == One(x) and hash(one) == hash(One(x)) and one != One(0) and one != x
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(one, protocol))
+        assert type(back) is One and back == one and back.x == x and repr(back) == repr(one)
