@@ -33,7 +33,7 @@ FAMILY_ALIASES = {name: f for f in Family for name in (f.value, f.alias)}
 
 
 def _tokens(text: str) -> list[str]:
-    """The fields of a bracketed value, split on commas and spaces."""
+    """The fields of a value in at most one bracket pair, split on commas and spaces."""
     inner = unwrap(text, MalformedText)
     if "," in inner and not all(map(str.strip, inner.split(","))):
         raise MalformedText(f"empty field between commas: {text!r}")

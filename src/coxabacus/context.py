@@ -86,8 +86,8 @@ class Family(Record, metaclass=_FamilyType, fields=("value",)):
     B_OVER_D = ("B~/D", "BD", 3, False, True)
     D_OVER_D = ("D~/D", "DD", 4, True, True)
 
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields):
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __repr__(self):
