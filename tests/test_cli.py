@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -618,6 +619,32 @@ def test_poset_covers_are_the_adjacent_layer_pairs(family, n, max_len):
     edges = [(int(x), int(w)) for x, w in re.findall(r"n(\d+) -> n(\d+);", dot)]
     assert edges == sorted(edges)
     assert [(elements[x], elements[w]) for x, w in edges] == pairs
+
+
+# sha256 of stdout for the benchmark's poset and enumerate commands, each at
+# its benchmark --max-len, and for the CI's large poset: any change to the
+# walk, the window order, the covers or the labels must leave these bytes
+PINNED_OUTPUTS = [
+    ("poset", "CC", 2, 15, "92a8ab5068bb6ed421fcd8e8b33f6c64fbd1a3976906616309746208e8da9614"),
+    ("enumerate", "CC", 2, 16, "3b4a3f4a1e6b833a4b08781b50575d3f834a556181a011c6b1fa64b3bfc6a912"),
+    ("poset", "BB", 3, 11, "a85bdb83539955e43ae40f02c4da2b9362646193721bbfdd291c26604aa3b860"),
+    ("enumerate", "BB", 3, 13, "6f480e55019dff620f31f94d8449ce098af2a035072d57b14426b5267ae8a527"),
+    ("poset", "BD", 3, 10, "ce8dae4a7d14d094ed2cbf0415b0e4ae9c14225b7dd3021c3539b71cb0ae4239"),
+    ("enumerate", "BD", 3, 12, "4c5ac47f14c2fc3c4bea28feab89e720f8cf5ec0d7e02db42bbf61963a2ec405"),
+    ("poset", "DD", 4, 8, "a6207e3caf653d231a3cc561bb08f0c755e7bb2e364d127ffaa3037ba44c0093"),
+    ("enumerate", "DD", 4, 11, "697854ef9f9b543b653186319be24de508c025159f467d78d980df46ba260075"),
+    ("poset", "CC", 8, 8, "e1c6028747657711b288e7085478275d1aebe96f709df88eb2dd7b311e8dd8f6"),
+    ("enumerate", "CC", 8, 10, "c728a128911184aacc3524d93948e6680e18d1c67faf7b6a818a56bf072c74bf"),
+    ("poset", "CC", 3, 60, "3d5e33df43d6506b30917613eacac9dd8a46c6239f9a7e7cc3e554a0d4da46b2"),
+]
+
+
+@pytest.mark.parametrize("command, family, n, max_len, digest", PINNED_OUTPUTS)
+def test_poset_and_enumerate_outputs_are_pinned(capsys, command, family, n, max_len, digest):
+    code, out, err = run(capsys, command, "--family", family, "--rank", str(n),
+                         "--max-len", str(max_len))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # the benchmark's five cases: each family at its smallest rank, and C~/C n=8
