@@ -9,9 +9,11 @@ ascent walk and Bruhat order all run on it.
 
 from __future__ import annotations
 
+from operator import add
+
 from .context import GroupContext, Record, integers
 from .errors import BadRequest, BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
-from .window import MirroredPermutation, normalize
+from .window import MirroredPermutation, minimal_window
 
 
 class Abacus(Record):
@@ -67,8 +69,8 @@ def to_permutation(a: Abacus) -> MirroredPermutation:
     ctx = a.ctx
     if ctx.fork_at_zero and not is_even(a):
         raise ParityViolation("abacus is not even")
-    entries = [a.levels[r - 1] * ctx.N + r for r in range(1, 2 * ctx.n + 1)]
-    return normalize(MirroredPermutation(ctx, tuple(entries)))
+    entries = map(add, map(ctx.N.__mul__, a.levels), range(1, ctx.N))  # level * N + runner
+    return MirroredPermutation(ctx, minimal_window(ctx, entries))
 
 
 def bead_at(a: Abacus, value: int) -> bool:
@@ -135,16 +137,27 @@ def abacus_from_word(ctx: GroupContext, letters) -> Abacus:
     return Abacus(ctx, levels)
 
 
-def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
-    """Abaci by length up to max_len: layer k+1 is the set of ascents of
-    layer k, so a layer needs no check against the earlier ones."""
+def ascent_walk(ctx: GroupContext, max_len: int) -> tuple[list[list[tuple]], dict]:
+    """Level vectors by length up to max_len: layer k+1 is the set of ascents
+    of layer k, so a layer needs no check against the earlier ones.  Also the
+    map from each w past the identity to the first (x, moves of s_g) it was
+    found from: w = s_g x lies above x, so g is a descent of w."""
     n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
-    layers = [[identity_abacus(ctx).levels]]
+    layers, found = [[identity_abacus(ctx).levels]], {}
     for _ in range(max_len):
-        top = layers[-1]
-        ups = (move_levels(x, m) for x in top for m in tables if size_change(n, x, m) > 0)
-        layers.append(list(dict.fromkeys(ups)))  # distinct, in order of discovery
-    return [[Abacus(ctx, x) for x in layer] for layer in layers]
+        ups = {}  # distinct, in order of discovery
+        for x in layers[-1]:
+            for m in tables:
+                if size_change(n, x, m) > 0:
+                    ups.setdefault(move_levels(x, m), (x, m))
+        layers.append(list(ups))
+        found.update(ups)
+    return layers, found
+
+
+def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
+    """Abaci by length up to max_len, from the ascent walk."""
+    return [[Abacus(ctx, x) for x in layer] for layer in ascent_walk(ctx, max_len)[0]]
 
 
 # --- Bruhat order --------------------------------------------------------
@@ -183,14 +196,12 @@ def bruhat_leq(x: Abacus, w: Abacus) -> bool:
     return v == y
 
 
-def lower_covers(layers) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Bruhat lower covers by level vector: w covers w' = s_g w for its first
-    descent g, and s_g y for each cover y of w' of which g is an ascent."""
-    ctx, covers = layers[0][0].ctx, {layers[0][0].levels: []}  # the identity
-    n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
-    for w in (a.levels for layer in layers[1:] for a in layer):
-        moves = first_descent(n, w, tables)
-        down = move_levels(w, moves)
-        ups = (move_levels(y, moves) for y in covers[down] if size_change(n, y, moves) > 0)
-        covers[w] = [down, *ups]
+def lower_covers(n: int, found: dict) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Bruhat lower covers by level vector, from the found map of the ascent
+    walk, in its order: w = s_g x covers x, and s_g y for each cover y of x
+    of which g is an ascent.  The identity covers nothing and has no entry."""
+    covers = {}
+    for w, (x, moves) in found.items():
+        ups = (move_levels(y, moves) for y in covers.get(x, ()) if size_change(n, y, moves) > 0)
+        covers[w] = [x, *ups]
     return covers

@@ -90,18 +90,20 @@ def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
 def bounded_from_abacus(a: Abacus) -> BoundedPartition:
     """One part per bead mN+r past N, read from the last bead back.  Past
     N+n the part is 1 + x0 + xn plus the gaps among the N positions before
-    the bead: runners s < r below level m and runners s > r below m-1."""
+    the bead: runners s < r below level m (before) and runners s > r below
+    m-1 (after), both kept as running counts down the runners."""
     ctx = a.ctx
     n, levels = ctx.n, a.levels
     parts, star = [], None
     for m in range(max(levels), 0, -1):
+        before, after = sum(map(m.__gt__, levels)), 1 + ctx.x0 + ctx.xn
         for r in range(2 * n, 0, -1):
-            if levels[r - 1] < m:
-                continue
-            if m > 1 or r > n:
-                gaps = sum(lvl < m for lvl in levels[: r - 1])
-                gaps += sum(lvl < m - 1 for lvl in levels[r:])
-                parts.append(gaps + 1 + ctx.x0 + ctx.xn)
+            level = levels[r - 1]
+            if level < m:
+                before -= 1
+                after += level < m - 1
+            elif m > 1 or r > n:
+                parts.append(before + after)
             elif r + ctx.x0 > 0:  # the parity bead at N+1 carries no boxes
                 parts.append(r + ctx.x0)
                 if r == n and ctx.fork_at_n:

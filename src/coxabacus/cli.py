@@ -4,8 +4,9 @@ enumeration, rendering, and Bruhat poset export."""
 from __future__ import annotations
 
 import sys
+from operator import add
 
-from .abacus import Abacus, abacus_from_word, enumerate_abaci, from_permutation, lower_covers
+from .abacus import Abacus, abacus_from_word, ascent_walk, from_permutation, lower_covers
 from .abacus import make_abacus, to_permutation
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded, unwrap
 from .bounded import word_from_filling
@@ -23,7 +24,7 @@ from .render import (
     render_word,
 )
 from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import from_base_window
+from .window import from_base_window, minimal_window
 
 SimpleNamespace = type(sys.implementation)  # as the types module defines it, without importing it
 
@@ -174,7 +175,7 @@ def cmd_enumerate(ctx: GroupContext, args) -> str:
     import json
 
     lines = []
-    for length, layer in enumerate(_layers(ctx, args.max_len)):
+    for length, layer in enumerate(_layers(ctx, args.max_len)[0]):
         for window, a in layer:
             lines.append(json.dumps(element_record(a, window, length)))
     return "\n".join(lines)
@@ -193,23 +194,24 @@ def cmd_render(ctx: GroupContext, args) -> str:
     return render_peel_trace(a, args.format)
 
 
-def _layers(ctx: GroupContext, max_len: int) -> list[list[tuple]]:
-    """The (window, abacus) pairs of each length, sorted by window."""
+def _layers(ctx: GroupContext, max_len: int) -> tuple[list[list[tuple]], dict]:
+    """The (window, abacus) pairs of each length, sorted by window, and the
+    ascent walk's found map, which `abacus.lower_covers` reads."""
     if max_len < 0:
         raise BadRequest("--max-len must be nonnegative")
-    return [
-        sorted(((to_permutation(a).window, a) for a in layer), key=lambda p: p[0])
-        for layer in enumerate_abaci(ctx, max_len)
-    ]
+    layers, found = ascent_walk(ctx, max_len)
+    N = ctx.N  # a window entry is level * N + runner
+    return [sorted((minimal_window(ctx, map(add, map(N.__mul__, x), range(1, N))), Abacus(ctx, x))
+                   for x in layer) for layer in layers], found
 
 
 def poset_dot(ctx: GroupContext, max_len: int) -> str:
     """Covers join adjacent length layers; `abacus.lower_covers` reads each
-    element's covers off those of the element one descent below it."""
-    layers = [[a for _, a in layer] for layer in _layers(ctx, max_len)]
-    elements = [a for layer in layers for a in layer]
+    element's covers off those of the element the walk found it from."""
+    layers, found = _layers(ctx, max_len)
+    elements = [a for layer in layers for _, a in layer]
     ids = {a.levels: k for k, a in enumerate(elements)}
-    edges = sorted((ids[y], ids[w]) for w, ys in lower_covers(layers).items() for y in ys)
+    edges = sorted((ids[y], ids[w]) for w, ys in lower_covers(ctx.n, found).items() for y in ys)
     lines = ["digraph bruhat {"]
     lines += [f'  n{k} [label="{bounded_from_abacus(a)}"];' for k, a in enumerate(elements)]
     lines += [f"  n{x} -> n{w};" for x, w in edges]

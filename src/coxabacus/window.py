@@ -45,30 +45,29 @@ def identity(ctx: GroupContext) -> MirroredPermutation:
     return MirroredPermutation(ctx, tuple(range(1, 2 * ctx.n + 1)))
 
 
+def _cond_n(ctx: GroupContext, window) -> int:
+    """|{i <= n : w(i) >= n+1}| for the window of w: per window position r,
+    the shifts m with mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
+    n, N = ctx.n, ctx.N
+    return sum(max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(window, start=1))
+
+
 def _count_cond_n(w: MirroredPermutation) -> int:
-    """|{i <= n : w(i) >= n+1}|: per window position r, the shifts m with
-    mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
-    n, N = w.ctx.n, w.ctx.N
-    return sum(
-        max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(w.window, start=1)
-    )
+    return _cond_n(w.ctx, w.window)
+
+
+def minimal_window(ctx: GroupContext, entries) -> tuple[int, ...]:
+    """The window of the minimal representative of the coset whose window
+    holds entries.  Sorting restores balance positionally; in the families
+    with a fork at s_n, exactly one of the two orderings that swap
+    positions n and n+1 satisfies the membership parity: that one."""
+    window = sorted(entries)
+    if ctx.fork_at_n and _cond_n(ctx, window) % 2:
+        n = ctx.n
+        window[n - 1], window[n] = window[n], window[n - 1]
+    return tuple(window)
 
 
 def normalize(w: MirroredPermutation) -> MirroredPermutation:
-    """The minimal representative of the coset of w.
-
-    Sorting the entries restores balance positionally; in the families with
-    a fork at s_n, exactly one of the two orderings that swap positions n
-    and n+1 satisfies the membership parity, and we pick that one.
-    """
-    ctx = w.ctx
-    entries = sorted(w.window)
-    cand = MirroredPermutation(ctx, tuple(entries))
-    if not ctx.fork_at_n:
-        return cand
-    if _count_cond_n(cand) % 2 == 0:
-        return cand
-    n = ctx.n
-    entries[n - 1], entries[n] = entries[n], entries[n - 1]
-    return MirroredPermutation(ctx, tuple(entries))
-
+    """The minimal representative of the coset of w."""
+    return MirroredPermutation(w.ctx, minimal_window(w.ctx, w.window))
