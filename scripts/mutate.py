@@ -6,8 +6,13 @@ changes that no test notices.  A change swaps an operator with its partner
 constant.  Stdlib only; each mutant costs up to one run of the suite.
 
     python scripts/mutate.py src/coxabacus/context.py src/coxabacus/cli.py
+    python scripts/mutate.py --only lower_covers,ascent_walk src/coxabacus/abacus.py
+
+--only keeps the sites inside the functions of those names, so that a
+change can be checked without a run per site of its whole module.
 """
 
+import argparse
 import ast
 import os
 import shutil
@@ -29,6 +34,18 @@ def sites(tree):
             yield from ((node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS)
         elif type(getattr(node, "op", None)) in SWAPS or type(getattr(node, "value", None)) is int:
             yield node, None
+
+
+def kept(tree, only):
+    """The indices of the sites inside the functions named in only, or of
+    all sites when only is None."""
+    inside = None if only is None else {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name in only
+        for node in ast.walk(func)
+    }
+    return [k for k, (node, _) in enumerate(sites(tree)) if inside is None or id(node) in inside]
 
 
 def mutant(source, k):
@@ -59,20 +76,28 @@ def passes(work):
 
 
 def main():
-    modules = sys.argv[1:]
-    if not modules or modules[0].startswith("-"):
-        sys.exit(__doc__)
+    ap = argparse.ArgumentParser(description="Report the mutants of library modules that no test notices.")
+    ap.add_argument("modules", nargs="+", help="module paths, relative to the checkout")
+    ap.add_argument("--only", metavar="NAME[,NAME]", type=lambda text: set(text.split(",")),
+                    help="mutate only inside the functions of these names")
+    args = ap.parse_args()
+    found = {
+        node.name for module in args.modules for node in ast.walk(ast.parse((ROOT / module).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    if args.only and args.only - found:
+        sys.exit(f"no function named {', '.join(sorted(args.only - found))} in the modules given")
     killed = total = 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT, work, dirs_exist_ok=True,
                         ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", "out"))
-        for module in modules:
+        for module in args.modules:
             source, target = (ROOT / module).read_text(), work / module
             target.write_text(ast.unparse(ast.parse(source)))
             if not passes(work):
                 sys.exit(f"{module}: the tests fail before any mutation")
-            for k in range(len(list(sites(ast.parse(source))))):
+            for k in kept(ast.parse(source), args.only):
                 text, line, change = mutant(source, k)
                 target.write_text(text)
                 total += 1

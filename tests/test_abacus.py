@@ -5,6 +5,7 @@ from coxabacus import Family, coxeter_matrix
 from coxabacus.abacus import (
     Abacus,
     apply_generator_abacus,
+    ascent_walk,
     bead_at,
     from_permutation,
     generator_moves,
@@ -13,6 +14,7 @@ from coxabacus.abacus import (
     make_abacus,
     move_levels,
     runner_of,
+    size_change,
     to_permutation,
 )
 from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
@@ -163,3 +165,20 @@ def test_out_of_range_generator_raises(family, n, g):
     for act in actions:
         with pytest.raises(UnknownGenerator):
             act()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_ascent_walk_records_a_descent_step_for_each_element(family):
+    # lower_covers reads each element's covers off the recorded step: w = s_g x
+    # for x one layer below, so the moves of g take w back to x and lower it
+    for n in range(family.min_rank, 7):
+        ctx = cx.make_context(family, n)
+        tables = [generator_moves(ctx, g) for g in ctx.generators()]
+        layers, found = ascent_walk(ctx, 10)
+        length = {w: k for k, layer in enumerate(layers) for w in layer}
+        assert list(found) == [w for layer in layers[1:] for w in layer]
+        for w, (x, moves) in found.items():
+            assert moves in tables
+            assert move_levels(w, moves) == x
+            assert size_change(n, w, moves) < 0
+            assert length[x] == length[w] - 1

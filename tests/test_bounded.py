@@ -17,7 +17,7 @@ from coxabacus.bounded import (
     word_from_filling,
 )
 from coxabacus.errors import MalformedBounded
-from coxabacus.oracle import apply_generator_left
+from coxabacus.oracle import apply_generator_left, length_from_window
 from coxabacus.window import identity, normalize
 from conftest import STANDARD_CASES
 
@@ -225,3 +225,41 @@ def test_parse_round_trip_on_random_elements(word):
         w = normalize(apply_generator_left(w, g))
     beta = bounded_from_abacus(cx.from_permutation(w))
     assert parse_bounded(BD3, str(beta)) == beta
+
+
+def _parts_by_gap_count(a):
+    """The parts and star of the bounded partition, each part past N+n
+    counted on its own: 1 + x0 + xn plus the runners s < r below level m and
+    the runners s > r below level m-1, for the bead mN+r."""
+    ctx, levels = a.ctx, a.levels
+    n = ctx.n
+    parts, star = [], None
+    for m in range(max(levels), 0, -1):
+        for r in range(2 * n, 0, -1):
+            if levels[r - 1] < m:
+                continue
+            if m > 1 or r > n:
+                gaps = sum(lvl < m for lvl in levels[: r - 1]) + sum(lvl < m - 1 for lvl in levels[r:])
+                parts.append(gaps + 1 + ctx.x0 + ctx.xn)
+            elif r + ctx.x0 > 0:
+                parts.append(r + ctx.x0)
+                if r == n and ctx.fork_at_n:
+                    star = len(parts) - 1
+    return parts, star
+
+
+def test_running_gap_count_is_the_per_bead_count():
+    # 200 random root points, ranks 2 to 12, coordinates up to 30 either side
+    rng = random.Random(20)
+    families = list(Family)
+    for i in range(200):
+        fam = families[i % 4]
+        ctx = cx.make_context(fam, rng.randint(max(2, fam.min_rank), 12))
+        point = [rng.randint(-30, 30) for _ in range(ctx.n)]
+        if ctx.fork_at_zero and sum(map(abs, point)) % 2:
+            point[rng.randrange(ctx.n)] += 1
+        a = cx.from_coordinates(cx.RootPoint(ctx, tuple(point)))
+        beta = bounded_from_abacus(a)
+        assert beta == make_bounded(ctx, *_parts_by_gap_count(a))
+        assert sum(beta.parts) == length_from_window(cx.to_permutation(a))
+        assert abacus_from_bounded(beta) == a
