@@ -195,8 +195,8 @@ def cmd_render(ctx: GroupContext, args) -> str:
 
 
 def _layers(ctx: GroupContext, max_len: int) -> tuple[list[list[tuple]], dict]:
-    """The (window, abacus) pairs of each length, sorted by window, and the
-    ascent walk's found map, which `abacus.lower_covers` reads."""
+    """The (window, abacus) pairs of each length, sorted by window (distinct,
+    so no two abaci are compared), and the walk's found map for lower_covers."""
     if max_len < 0:
         raise BadRequest("--max-len must be nonnegative")
     layers, found = ascent_walk(ctx, max_len)
