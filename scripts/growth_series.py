@@ -6,7 +6,7 @@ rank above."""
 import argparse
 
 from coxabacus import Family, make_context
-from coxabacus.abacus import enumerate_abaci
+from coxabacus.abacus import ascent_walk
 
 CASES = [
     (Family.C_OVER_C, 2), (Family.C_OVER_C, 3),
@@ -24,7 +24,7 @@ def main():
     header = "family  rank  " + "  ".join(f"l={k}" for k in range(args.max_len + 1))
     print(header)
     for fam, n in CASES:
-        layers = enumerate_abaci(make_context(fam, n), args.max_len)
+        layers = ascent_walk(make_context(fam, n), args.max_len)
         counts = "  ".join(f"{len(layer):3d}" for layer in layers)
         print(f"{fam.value:6}  {n:4d}  {counts}")
 

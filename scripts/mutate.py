@@ -49,19 +49,25 @@ def kept(tree, only):
 
 
 def mutant(source, k):
-    """The source with site k changed, the site's line, and the change."""
+    """The source with site k changed, the site's line and 1-based column,
+    and the change, which names the operator's index in a comparison that
+    chains more than one."""
     tree = ast.parse(source)
     node, i = list(sites(tree))[k]
+    where = node.lineno, node.col_offset + 1
     if isinstance(node, ast.Constant):
         node.value += 1
-        return ast.unparse(tree), node.lineno, f"{node.value - 1} -> {node.value}"
+        return ast.unparse(tree), *where, f"{node.value - 1} -> {node.value}"
     old = node.op if i is None else node.ops[i]
     new = SWAPS[type(old)]()
+    change = f"{type(old).__name__} -> {type(new).__name__}"
     if i is None:
         node.op = new
     else:
         node.ops[i] = new
-    return ast.unparse(tree), node.lineno, f"{type(old).__name__} -> {type(new).__name__}"
+        if len(node.ops) > 1:
+            change += f" (operator {i} of the chain)"
+    return ast.unparse(tree), *where, change
 
 
 def passes(work):
@@ -98,11 +104,11 @@ def main():
             if not passes(work):
                 sys.exit(f"{module}: the tests fail before any mutation")
             for k in kept(ast.parse(source), args.only):
-                text, line, change = mutant(source, k)
+                text, line, col, change = mutant(source, k)
                 target.write_text(text)
                 total += 1
                 if passes(work):
-                    print(f"survived {module}:{line} {change} | {source.splitlines()[line - 1].strip()}")
+                    print(f"survived {module}:{line}:{col} {change} | {source.splitlines()[line - 1].strip()}")
                 else:
                     killed += 1
             target.write_text(source)

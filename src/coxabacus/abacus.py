@@ -42,7 +42,7 @@ def make_abacus(ctx: GroupContext, levels) -> Abacus:
     levels = integers(levels)
     if len(levels) != 2 * ctx.n:
         raise BalanceViolation(f"need {2 * ctx.n} runner levels")
-    for i in range(1, 2 * ctx.n + 1):
+    for i in range(1, ctx.n + 1):  # each pair (i, N-i) once
         if levels[i - 1] + levels[ctx.N - i - 1] != 0:
             raise BalanceViolation(
                 f"levels of runners {i} and {ctx.N - i} do not cancel"
@@ -130,34 +130,30 @@ def abacus_from_word(ctx: GroupContext, letters) -> Abacus:
     """The abacus of a word: its letters act on the identity right to left."""
     n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
     levels = identity_abacus(ctx).levels
-    for r in reversed(list(letters)):
+    for r in reversed(integers(letters)):
         if not 0 <= r <= n:
             raise UnknownGenerator(f"no generator s{r} at rank {n}")
         levels = move_levels(levels, tables[r])
     return Abacus(ctx, levels)
 
 
-def ascent_walk(ctx: GroupContext, max_len: int) -> tuple[list[list[tuple]], dict]:
-    """Level vectors by length up to max_len: layer k+1 is the set of ascents
-    of layer k, so a layer needs no check against the earlier ones.  Also the
-    map from each w past the identity to the first (x, moves of s_g) it was
-    found from: w = s_g x lies above x, so g is a descent of w."""
+def ascent_walk(ctx: GroupContext, max_len: int) -> list[dict]:
+    """Level vectors by length up to max_len, each mapped to the first
+    (x, moves of s_g) it was found from, the identity to None: layer k+1
+    holds the ascents of layer k, so it needs no check against the earlier
+    layers, and w = s_g x lies above x, so g is a descent of w."""
+    if max_len < 0:
+        raise BadRequest("--max-len must be nonnegative")
     n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
-    layers, found = [[identity_abacus(ctx).levels]], {}
+    layers = [{identity_abacus(ctx).levels: None}]
     for _ in range(max_len):
-        ups = {}  # distinct, in order of discovery
+        ups = {}  # in order of discovery
         for x in layers[-1]:
             for m in tables:
                 if size_change(n, x, m) > 0:
                     ups.setdefault(move_levels(x, m), (x, m))
-        layers.append(list(ups))
-        found.update(ups)
-    return layers, found
-
-
-def enumerate_abaci(ctx: GroupContext, max_len: int) -> list[list[Abacus]]:
-    """Abaci by length up to max_len, from the ascent walk."""
-    return [[Abacus(ctx, x) for x in layer] for layer in ascent_walk(ctx, max_len)[0]]
+        layers.append(ups)
+    return layers
 
 
 # --- Bruhat order --------------------------------------------------------
@@ -196,12 +192,13 @@ def bruhat_leq(x: Abacus, w: Abacus) -> bool:
     return v == y
 
 
-def lower_covers(n: int, found: dict) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Bruhat lower covers by level vector, from the found map of the ascent
+def lower_covers(n: int, layers: list[dict]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Bruhat lower covers by level vector, from the steps of the ascent
     walk, in its order: w = s_g x covers x, and s_g y for each cover y of x
     of which g is an ascent.  The identity covers nothing and has no entry."""
     covers = {}
-    for w, (x, moves) in found.items():
-        ups = (move_levels(y, moves) for y in covers.get(x, ()) if size_change(n, y, moves) > 0)
-        covers[w] = [x, *ups]
+    for layer in layers[1:]:
+        for w, (x, moves) in layer.items():
+            ups = (move_levels(y, moves) for y in covers.get(x, ()) if size_change(n, y, moves) > 0)
+            covers[w] = [x, *ups]
     return covers

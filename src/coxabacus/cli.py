@@ -175,7 +175,7 @@ def cmd_enumerate(ctx: GroupContext, args) -> str:
     import json
 
     lines = []
-    for length, layer in enumerate(_layers(ctx, args.max_len)[0]):
+    for length, layer in enumerate(_layers(ctx, ascent_walk(ctx, args.max_len))):
         for window, a in layer:
             lines.append(json.dumps(element_record(a, window, length)))
     return "\n".join(lines)
@@ -194,24 +194,21 @@ def cmd_render(ctx: GroupContext, args) -> str:
     return render_peel_trace(a, args.format)
 
 
-def _layers(ctx: GroupContext, max_len: int) -> tuple[list[list[tuple]], dict]:
-    """The (window, abacus) pairs of each length, sorted by window (distinct,
-    so no two abaci are compared), and the walk's found map for lower_covers."""
-    if max_len < 0:
-        raise BadRequest("--max-len must be nonnegative")
-    layers, found = ascent_walk(ctx, max_len)
+def _layers(ctx: GroupContext, walk: list[dict]) -> list[list[tuple]]:
+    """The (window, abacus) pairs of each layer of the ascent walk, sorted by
+    window (distinct, so no two abaci are compared)."""
     N = ctx.N  # a window entry is level * N + runner
     return [sorted((minimal_window(ctx, map(add, map(N.__mul__, x), range(1, N))), Abacus(ctx, x))
-                   for x in layer) for layer in layers], found
+                   for x in layer) for layer in walk]
 
 
 def poset_dot(ctx: GroupContext, max_len: int) -> str:
     """Covers join adjacent length layers; `abacus.lower_covers` reads each
     element's covers off those of the element the walk found it from."""
-    layers, found = _layers(ctx, max_len)
-    elements = [a for layer in layers for _, a in layer]
+    walk = ascent_walk(ctx, max_len)
+    elements = [a for layer in _layers(ctx, walk) for _, a in layer]
     ids = {a.levels: k for k, a in enumerate(elements)}
-    edges = sorted((ids[y], ids[w]) for w, ys in lower_covers(ctx.n, found).items() for y in ys)
+    edges = sorted((ids[y], ids[w]) for w, ys in lower_covers(ctx.n, walk).items() for y in ys)
     lines = ["digraph bruhat {"]
     lines += [f'  n{k} [label="{bounded_from_abacus(a)}"];' for k, a in enumerate(elements)]
     lines += [f"  n{x} -> n{w};" for x, w in edges]

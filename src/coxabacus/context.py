@@ -15,12 +15,17 @@ from .errors import BadRequest, MalformedText, RankTooSmall
 
 class Record:
     """A frozen value: its fields live in __slots__ and are set once, with
-    object.__setattr__, by the subclass's own __init__.  Equality needs the
-    same class; equality, hashing, repr and pickling see the fields named
-    by the `fields` class keyword (by default every slot), in order.  `_key`
-    gives them to equality and hashing, as a bare value for a single field."""
+    object.__setattr__, by __init__, here from values in slot order.
+    Equality needs the same class; equality, hashing, repr and pickling see
+    the fields named by the `fields` class keyword (by default every slot),
+    in order.  `_key` gives them to equality and hashing, as a bare value
+    for a single field."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, fields=None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -86,10 +91,6 @@ class Family(Record, metaclass=_FamilyType, fields=("value",)):
     B_OVER_D = ("B~/D", "BD", 3, False, True)
     D_OVER_D = ("D~/D", "DD", 4, True, True)
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     def __repr__(self):
         return f"<Family.{self.name}: {self.value!r}>"
 
@@ -108,9 +109,7 @@ class GroupContext(Record, fields=("family", "n")):
 
     def __init__(self, family: Family, n: int):
         zero, end = family.fork_at_zero, family.fork_at_n
-        values = (family, n, 2 * n + 1, zero, end, -1 if zero else 0, -1 if end else 0)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        super().__init__(family, n, 2 * n + 1, zero, end, -1 if zero else 0, -1 if end else 0)
 
     def generators(self) -> range:
         return range(self.n + 1)

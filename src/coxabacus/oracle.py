@@ -23,7 +23,7 @@ from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
 from .rootlattice import RootPoint
-from .window import MirroredPermutation, _count_cond_n, identity, normalize
+from .window import MirroredPermutation, _cond_n, identity, normalize
 
 
 def generator_value(ctx: GroupContext, g: int, v: int) -> int:
@@ -102,7 +102,7 @@ def family_membership(w: MirroredPermutation) -> bool:
     ctx = w.ctx
     if ctx.fork_at_zero and _count_cond_zero(w) % 2 != 0:
         return False
-    if ctx.fork_at_n and _count_cond_n(w) % 2 != 0:
+    if ctx.fork_at_n and _cond_n(ctx, w.window) % 2 != 0:
         return False
     return True
 

@@ -33,7 +33,7 @@ def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
         if r in seen:
             raise ResidueClash(f"entries {seen[r]} and {e} agree mod N={N}")
         seen[r] = e
-    for i in range(1, 2 * ctx.n + 1):
+    for i in range(1, ctx.n + 1):  # each pair (i, N-i) once
         if entries[i - 1] + entries[N - i - 1] != N:
             raise BalanceViolation(
                 f"w({i}) + w({N - i}) = {entries[i - 1] + entries[N - i - 1]} != {N}"
@@ -50,10 +50,6 @@ def _cond_n(ctx: GroupContext, window) -> int:
     the shifts m with mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
     n, N = ctx.n, ctx.N
     return sum(max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(window, start=1))
-
-
-def _count_cond_n(w: MirroredPermutation) -> int:
-    return _cond_n(w.ctx, w.window)
 
 
 def minimal_window(ctx: GroupContext, entries) -> tuple[int, ...]:

@@ -17,7 +17,8 @@ from coxabacus.abacus import (
     size_change,
     to_permutation,
 )
-from coxabacus.errors import BalanceViolation, ParityViolation, UnknownGenerator, ZeroResidue
+from coxabacus.errors import BadRequest, BalanceViolation, MalformedText, ParityViolation, UnknownGenerator
+from coxabacus.errors import ZeroResidue
 from coxabacus.oracle import first_gap, gaps_between, generator_value, last_bead, lowest_bead
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -47,6 +48,15 @@ def test_rejects_unbalanced_levels():
     with pytest.raises(BalanceViolation) as err:
         make_abacus(C3, (1, 0, 0, 0))
     assert str(err.value) == "need 6 runner levels"
+
+
+def test_balance_is_checked_on_every_mirrored_pair():
+    # the loop checks each pair (i, N-i) once, from i = 1 up to the middle pair (n, n+1)
+    for i in (1, 2, 3):
+        levels = [0] * 6
+        levels[i - 1] = 1
+        with pytest.raises(BalanceViolation, match=f"^levels of runners {i} and {7 - i} do not cancel$"):
+            make_abacus(C3, levels)
 
 
 def test_bead_positions():
@@ -174,11 +184,26 @@ def test_ascent_walk_records_a_descent_step_for_each_element(family):
     for n in range(family.min_rank, 7):
         ctx = cx.make_context(family, n)
         tables = [generator_moves(ctx, g) for g in ctx.generators()]
-        layers, found = ascent_walk(ctx, 10)
+        layers = ascent_walk(ctx, 10)
         length = {w: k for k, layer in enumerate(layers) for w in layer}
-        assert list(found) == [w for layer in layers[1:] for w in layer]
-        for w, (x, moves) in found.items():
-            assert moves in tables
-            assert move_levels(w, moves) == x
-            assert size_change(n, w, moves) < 0
-            assert length[x] == length[w] - 1
+        assert layers[0] == {(0,) * (2 * n): None}
+        for layer in layers[1:]:
+            for w, (x, moves) in layer.items():
+                assert moves in tables
+                assert move_levels(w, moves) == x
+                assert size_change(n, w, moves) < 0
+                assert length[x] == length[w] - 1
+
+
+def test_ascent_walk_rejects_a_negative_length():
+    # the identity alone would be the walk of length 0, not an answer to -1
+    with pytest.raises(BadRequest, match="^--max-len must be nonnegative$"):
+        ascent_walk(C3, -1)
+    assert ascent_walk(C3, 0) == [{(0,) * 6: None}]
+
+
+@pytest.mark.parametrize("letters", [["1"], [None], "10", [1.0]])
+def test_abacus_from_word_reads_its_letters_as_integers(letters):
+    # read like every other constructor's integers, not compared or indexed raw
+    with pytest.raises(MalformedText, match="not an integer"):
+        cx.abacus_from_word(C3, letters)

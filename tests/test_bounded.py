@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import abacus_from_word, enumerate_abaci, generator_moves
+from coxabacus.abacus import Abacus, abacus_from_word, ascent_walk, generator_moves
 from coxabacus.bounded import (
     abacus_from_bounded,
     bounded_from_abacus,
@@ -67,6 +67,12 @@ def test_parts_positive():
         assert str(err.value) == "parts must be positive"
 
 
+def test_parts_weakly_decreasing():
+    with pytest.raises(MalformedBounded, match="^parts must be weakly decreasing$"):
+        make_bounded(C3, (1, 2))
+    make_bounded(C3, (2, 1))
+
+
 def test_small_parts_distinct():
     with pytest.raises(MalformedBounded):
         make_bounded(C3, (2, 2))
@@ -80,6 +86,9 @@ def test_star_rules():
         make_bounded(BD3, (4, 2), star=0)  # wrong size
     beta = make_bounded(BD3, (3, 3, 1), star=0)
     assert beta.star == 1  # canonicalized to the last part of that size
+    for parts, star in (((3, 1), 2), ((3, 3), -1)):  # one past the last part, one before the first
+        with pytest.raises(MalformedBounded, match="star must sit on a part of size 3"):
+            make_bounded(BD3, parts, star=star)
 
 
 def test_starred_part_may_repeat_its_size():
@@ -192,8 +201,8 @@ def test_bounded_partitions_are_the_layers(family, n):
     # the inverse walks the filling word, so it is only an inverse if the
     # valid partitions of size k are exactly the readings of layer k
     ctx = cx.make_context(family, n)
-    for k, layer in enumerate(enumerate_abaci(ctx, 12)):
-        read = {bounded_from_abacus(a): a for a in layer}
+    for k, layer in enumerate(ascent_walk(ctx, 12)):
+        read = {bounded_from_abacus(a): a for a in (Abacus(ctx, x) for x in layer)}
         assert len(read) == len(layer)
         assert set(read) == valid_bounded(ctx, k)
         for beta, a in read.items():

@@ -606,7 +606,7 @@ def test_poset_edges_are_the_lifting_covers(tables):
 def test_poset_covers_are_the_adjacent_layer_pairs(family, n, max_len):
     # the oracle is the pair loop: bruhat_leq on every pair of adjacent layers
     ctx = make_context(cli.FAMILY_ALIASES[family], n)
-    layers = [[a for _, a in layer] for layer in cli._layers(ctx, max_len)[0]]
+    layers = [[a for _, a in layer] for layer in cli._layers(ctx, cli.ascent_walk(ctx, max_len))]
     elements = [a.levels for layer in layers for a in layer]
     pairs = [
         (x.levels, w.levels)

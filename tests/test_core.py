@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import coxabacus as cx
+import coxabacus.core as core
 from coxabacus import Family
 from coxabacus.abacus import bruhat_leq, first_descent, generator_moves, move_levels, size_change
 from coxabacus.core import (
@@ -175,6 +176,40 @@ def test_residue_d5_figure_cell():
     w = cx.from_base_window(D5, [-12, -7, -5, 2, 3, 8, 9, 16, 18, 23])
     lam = from_abacus(cx.from_permutation(w))
     assert residue(lam, 1, 12) == 1
+
+
+def test_residue_of_a_band_cell_may_be_none_or_a_pair():
+    # B~/D n=3, root point (2,-1,1): cells in the band around diagonal n
+    # that the row does not end near carry no residue, and those it ends
+    # at may carry both n-1 and n
+    bd3 = cx.make_context(Family.B_OVER_D, 3)
+    lam = from_abacus(cx.from_coordinates(cx.RootPoint(bd3, (2, -1, 1))))
+    assert lam.rows == (7, 6, 5, 4, 3, 2, 1)
+    assert residue(lam, 1, 3) is None
+    assert residue(lam, 2, 6) == (2, 3)
+
+
+@pytest.mark.parametrize("family, n", [(Family.B_OVER_D, 3), (Family.B_OVER_D, 4),
+                                       (Family.D_OVER_D, 4), (Family.B_OVER_B, 3)])
+def test_band_residues_past_the_first_period_match_the_abacus(monkeypatch, family, n):
+    # the residue scan reads band cells k periods out along the diagonal;
+    # random long words reach k >= 1, and the scan must still agree with
+    # the generator action on the level vector
+    ctx = cx.make_context(family, n)
+    band_residue, far = core._band_residue, []
+
+    def counted(rows, i, j, band_lo, hi, lo, p):
+        far.append((j - i - band_lo) // p >= 1)
+        return band_residue(rows, i, j, band_lo, hi, lo, p)
+
+    monkeypatch.setattr(core, "_band_residue", counted)
+    rng = random.Random(f"band {family.alias} {n}")
+    for _ in range(25):
+        a = cx.abacus_from_word(ctx, [rng.randint(0, n) for _ in range(rng.randint(20, 60))])
+        lam = from_abacus(a)
+        for g in ctx.generators():
+            assert apply_generator_scan(lam, g) == from_abacus(cx.apply_generator_abacus(a, g))
+    assert any(far)
 
 
 def test_apply_generator_neither_fixes():

@@ -8,7 +8,7 @@ import pytest
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import enumerate_abaci
+from coxabacus.abacus import ascent_walk
 from coxabacus.errors import NotEnumerated
 from coxabacus.oracle import (
     apply_generator_left,
@@ -120,9 +120,8 @@ def _level_layers(table):
 
 def test_ascent_walk_matches_bfs(tables):
     for (fam, n), table in tables.items():
-        walk = enumerate_abaci(cx.make_context(fam, n), 8)
-        assert [{a.levels for a in layer} for layer in walk] == _level_layers(table)
-        assert all(len({a.levels for a in layer}) == len(layer) for layer in walk)
+        walk = ascent_walk(cx.make_context(fam, n), 8)
+        assert [set(layer) for layer in walk] == _level_layers(table)
 
 
 # the benchmark's five cases at the max lengths of its `enumerate` workload
@@ -138,8 +137,8 @@ def test_ascent_walk_matches_bfs(tables):
 )
 def test_ascent_walk_matches_bfs_at_bench_lengths(family, n, max_len):
     ctx = cx.make_context(family, n)
-    walk = enumerate_abaci(ctx, max_len)
-    assert [{a.levels for a in layer} for layer in walk] == _level_layers(
+    walk = ascent_walk(ctx, max_len)
+    assert [set(layer) for layer in walk] == _level_layers(
         enumerate_quotient(ctx, max_len)
     )
 

@@ -16,7 +16,7 @@ from coxabacus.oracle import (
     family_membership,
     is_minimal_coset_rep,
 )
-from coxabacus.window import _count_cond_n, from_base_window, identity, normalize
+from coxabacus.window import _cond_n, from_base_window, identity, normalize
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)
@@ -55,6 +55,12 @@ def test_rejects_unbalanced():
         with pytest.raises(BalanceViolation) as err:
             from_base_window(C3, window)
         assert str(err.value) == message
+
+
+def test_rejects_unbalanced_middle_pair():
+    # the last pair the loop checks, (n, n+1), with its residues still distinct
+    with pytest.raises(BalanceViolation, match=r"^w\(3\) \+ w\(4\) = 14 != 7$"):
+        from_base_window(C3, [1, 2, 10, 4, 5, 6])
 
 
 def test_rejects_wrong_length():
@@ -142,4 +148,4 @@ def test_closed_form_counts_match_scan(tables):
             # the raw neighbours are not minimal and may fail the parity
             for u in (w, *(apply_generator_left(w, g) for g in w.ctx.generators())):
                 assert _count_cond_zero(u) == _count_by_scan(u, 0, 1)
-                assert _count_cond_n(u) == _count_by_scan(u, n, n + 1)
+                assert _cond_n(u.ctx, u.window) == _count_by_scan(u, n, n + 1)
