@@ -69,8 +69,12 @@ def to_permutation(a: Abacus) -> MirroredPermutation:
     ctx = a.ctx
     if ctx.fork_at_zero and not is_even(a):
         raise ParityViolation("abacus is not even")
-    entries = map(add, map(ctx.N.__mul__, a.levels), range(1, ctx.N))  # level * N + runner
-    return MirroredPermutation(ctx, minimal_window(ctx, entries))
+    return MirroredPermutation(ctx, window_of(ctx, a.levels))
+
+
+def window_of(ctx: GroupContext, levels) -> tuple[int, ...]:
+    """The minimal window of the level vector, whose window entries are level * N + runner."""
+    return minimal_window(ctx, map(add, map(ctx.N.__mul__, levels), range(1, ctx.N)))
 
 
 def bead_at(a: Abacus, value: int) -> bool:
@@ -123,6 +127,7 @@ def size_change(n: int, levels: tuple[int, ...], moves) -> int:
 def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
     """The generator action: s_g permutes runners wholesale, with a level
     shift at the affine end, so only the moved runners are rewritten."""
+    (g,) = integers((g,))
     return Abacus(a.ctx, move_levels(a.levels, generator_moves(a.ctx, g)))
 
 
@@ -142,6 +147,7 @@ def ascent_walk(ctx: GroupContext, max_len: int) -> list[dict]:
     (x, moves of s_g) it was found from, the identity to None: layer k+1
     holds the ascents of layer k, so it needs no check against the earlier
     layers, and w = s_g x lies above x, so g is a descent of w."""
+    (max_len,) = integers((max_len,))
     if max_len < 0:
         raise BadRequest("--max-len must be nonnegative")
     n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]

@@ -8,8 +8,8 @@ from __future__ import annotations
 from operator import add, itemgetter, lt
 
 from .abacus import Abacus, generator_moves, identity_abacus, move_levels
-from .context import GroupContext, Record, integers
-from .errors import CoxabacusError, MalformedBounded
+from .context import GroupContext, Record, integers, tokens
+from .errors import MalformedBounded
 
 
 class BoundedPartition(Record):
@@ -27,31 +27,18 @@ class BoundedPartition(Record):
         return "(" + ",".join(items) + ")"
 
 
-def unwrap(text: str, error: type[CoxabacusError] = MalformedBounded) -> str:
-    """text inside at most one enclosing () or [] pair; any other bracket raises."""
-    inner = text.strip()
-    if inner[:1] + inner[-1:] in ("()", "[]"):
-        inner = inner[1:-1]
-    if "(" in inner or ")" in inner or "[" in inner or "]" in inner:
-        raise error(f"unbalanced brackets: {text!r}")
-    return inner
-
-
 def parse_bounded(ctx: GroupContext, text: str) -> BoundedPartition:
-    text = unwrap(text)
     parts, star = [], None
-    if text:
-        for tok in text.split(","):
-            tok = tok.strip()
-            if tok.endswith("*"):
-                if star is not None:
-                    raise MalformedBounded("more than one part is starred")
-                star = len(parts)
-                tok = tok[:-1]
-            try:
-                parts.append(int(tok))
-            except ValueError:
-                raise MalformedBounded(f"part {tok!r} is not an integer") from None
+    for tok in tokens(text):
+        if tok.endswith("*"):
+            if star is not None:
+                raise MalformedBounded("more than one part is starred")
+            star = len(parts)
+            tok = tok[:-1]
+        try:
+            parts.append(int(tok))
+        except ValueError:
+            raise MalformedBounded(f"part {tok!r} is not an integer") from None
     return make_bounded(ctx, parts, star)
 
 

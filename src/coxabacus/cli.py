@@ -4,13 +4,12 @@ enumeration, rendering, and Bruhat poset export."""
 from __future__ import annotations
 
 import sys
-from operator import add
 
 from .abacus import Abacus, abacus_from_word, ascent_walk, from_permutation, lower_covers
-from .abacus import make_abacus, to_permutation
-from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded, unwrap
+from .abacus import make_abacus, to_permutation, window_of
+from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
 from .bounded import word_from_filling
-from .context import Family, GroupContext, make_context
+from .context import Family, GroupContext, make_context, tokens
 from .core import abacus_of, from_abacus, make_core
 from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 from .render import (
@@ -24,7 +23,7 @@ from .render import (
     render_word,
 )
 from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import from_base_window, minimal_window
+from .window import from_base_window
 
 SimpleNamespace = type(sys.implementation)  # as the types module defines it, without importing it
 
@@ -33,24 +32,16 @@ REPRESENTATIONS = ("window", "levels", "core", "bounded", "word", "root")
 FAMILY_ALIASES = {name: f for f in Family for name in (f.value, f.alias)}
 
 
-def _tokens(text: str) -> list[str]:
-    """The fields of a value in at most one bracket pair, split on commas and spaces."""
-    inner = unwrap(text, MalformedText)
-    if "," in inner and not all(map(str.strip, inner.split(","))):
-        raise MalformedText(f"empty field between commas: {text!r}")
-    return inner.replace(",", " ").split()
-
-
 def _ints(text: str) -> list[int]:
     try:
-        return list(map(int, _tokens(text)))
+        return list(map(int, tokens(text)))
     except ValueError:
         raise MalformedText(f"not a list of integers: {text!r}") from None
 
 
 def _letters(text: str) -> list[int]:
     try:
-        return [int(t.removeprefix("s")) for t in _tokens(text)]
+        return [int(t.removeprefix("s")) for t in tokens(text)]
     except ValueError:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 
@@ -143,14 +134,14 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in COMMANDS:
         return None
     _, flags, takes_value, _ = COMMANDS[argv[0]]
-    tokens = argv[1:]
+    rest = argv[1:]
     args = {"command": argv[0]}
     if takes_value:
-        if not tokens or tokens[-1].startswith("-"):
+        if not rest or rest[-1].startswith("-"):
             return None
-        args["value"] = tokens.pop()
-    given = dict(zip(tokens[::2], tokens[1::2]))
-    if 2 * len(given) != len(tokens):  # an odd count or a repeated flag
+        args["value"] = rest.pop()
+    given = dict(zip(rest[::2], rest[1::2]))
+    if 2 * len(given) != len(rest):  # an odd count or a repeated flag
         return None
     for flag, dest, kind, default in flags:
         text = given.pop(flag, default)
@@ -197,9 +188,7 @@ def cmd_render(ctx: GroupContext, args) -> str:
 def _layers(ctx: GroupContext, walk: list[dict]) -> list[list[tuple]]:
     """The (window, abacus) pairs of each layer of the ascent walk, sorted by
     window (distinct, so no two abaci are compared)."""
-    N = ctx.N  # a window entry is level * N + runner
-    return [sorted((minimal_window(ctx, map(add, map(N.__mul__, x), range(1, N))), Abacus(ctx, x))
-                   for x in layer) for layer in walk]
+    return [sorted((window_of(ctx, x), Abacus(ctx, x)) for x in layer) for layer in walk]
 
 
 def poset_dot(ctx: GroupContext, max_len: int) -> str:

@@ -126,6 +126,20 @@ def integers(values) -> tuple[int, ...]:
         raise MalformedText(f"not an integer: {bad!r}") from None
 
 
+def tokens(text: str) -> list[str]:
+    """The fields of a value in at most one () or [] pair, split on commas
+    and spaces: any other bracket, or an empty field between commas, raises
+    MalformedText."""
+    inner = text.strip()
+    if inner[:1] + inner[-1:] in ("()", "[]"):
+        inner = inner[1:-1]
+    if "(" in inner or ")" in inner or "[" in inner or "]" in inner:
+        raise MalformedText(f"unbalanced brackets: {text!r}")
+    if "," in inner and not all(map(str.strip, inner.split(","))):
+        raise MalformedText(f"empty field between commas: {text!r}")
+    return inner.replace(",", " ").split()
+
+
 def make_context(family: Family, n: int) -> GroupContext:
     if not isinstance(family, Family):
         raise BadRequest(f"not a Family: {family!r}")

@@ -1,5 +1,5 @@
 """Slow paths kept to check the level-vector engine: the window action,
-which reads the runner table of `abacus.generator_moves`, and
+written from the definition of the generators as value swaps, and
 breadth-first enumeration by it, the membership and minimality tests and
 the descent class of a window, Bruhat order via the lifting property, the
 generator action on a core by scanning its cells for residues and on root
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .abacus import Abacus, bead_at, from_permutation, generator_moves, move_levels
 from .abacus import runner_of, size_change
-from .context import Family, GroupContext
+from .context import Family, GroupContext, integers
 from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import UnknownGenerator
@@ -27,13 +27,25 @@ from .window import MirroredPermutation, _cond_n, identity, normalize
 
 
 def generator_value(ctx: GroupContext, g: int, v: int) -> int:
-    """Value of the generator s_g, as a mirrored permutation, at v: the move
-    (r, shift, s) of runner r sends v = mN + r to (m + shift)N + s, and v
-    stays put when its runner does not move."""
-    m, r = divmod(v, ctx.N)
-    for runner, shift, s in generator_moves(ctx, g):
-        if runner == r:
-            return (m + shift) * ctx.N + s
+    """Value of the generator s_g, as a mirrored permutation, at v, from its
+    definition as value swaps modulo N: s_i (0 < i < n) swaps i, i+1 and
+    -i, -i-1; s_0 swaps 1 and -1, or at a fork 1 with -2 and 2 with -1; s_n
+    swaps n and n+1, or at a fork n-1 with n+1 and n with n+2."""
+    (g,) = integers((g,))
+    n, N = ctx.n, ctx.N
+    if 0 < g < n:
+        swaps = ((g, g + 1), (-g, -g - 1))
+    elif g == 0:
+        swaps = ((1, -2), (2, -1)) if ctx.fork_at_zero else ((1, -1),)
+    elif g == n:
+        swaps = ((n - 1, n + 1), (n, n + 2)) if ctx.fork_at_n else ((n, n + 1),)
+    else:
+        raise UnknownGenerator(f"no generator s{g} at rank {n}")
+    for a, b in swaps:
+        if (v - a) % N == 0:
+            return v - a + b
+        if (v - b) % N == 0:
+            return v - b + a
     return v
 
 
@@ -122,6 +134,7 @@ def descent_class(w: MirroredPermutation, g: int) -> str:
     """'descent', 'ascent' or 'neither' for the left action of s_g on w."""
     if not is_minimal_coset_rep(w):
         raise NotMinimal("descent_class requires a minimal coset representative")
+    (g,) = integers((g,))
     change = size_change(w.ctx.n, from_permutation(w).levels, generator_moves(w.ctx, g))
     return "neither" if change == 0 else "descent" if change < 0 else "ascent"
 
@@ -390,6 +403,7 @@ def reflect(pt: RootPoint, g: int) -> RootPoint:
     """The generator action on root points, written out per generator."""
     ctx = pt.ctx
     n = ctx.n
+    (g,) = integers((g,))
     if not 0 <= g <= n:
         raise UnknownGenerator(f"no generator s{g} at rank {n}")
     a = list(pt.coords)
@@ -429,10 +443,7 @@ def gaps_between(a: Abacus, lo: int, hi: int) -> int:
 def runner_number(ctx: GroupContext, u: int) -> int:
     """Runner of the boundary step at diagonal index u (constant along
     diagonals when boxes are filled with runner numbers)."""
-    p = 2 * ctx.n
-    if u >= 0:
-        return (u % p) + 1
-    return p - ((-u - 1) % p)
+    return u % (2 * ctx.n) + 1
 
 
 def length_from_abacus(a: Abacus) -> int:

@@ -16,10 +16,14 @@ from coxabacus.abacus import (
     runner_of,
     size_change,
     to_permutation,
+    window_of,
 )
 from coxabacus.errors import BadRequest, BalanceViolation, MalformedText, ParityViolation, UnknownGenerator
 from coxabacus.errors import ZeroResidue
-from coxabacus.oracle import first_gap, gaps_between, generator_value, last_bead, lowest_bead
+from coxabacus.oracle import apply_generator_left, descent_class, first_gap, gaps_between
+from coxabacus.oracle import generator_value, last_bead, lowest_bead, reflect
+from coxabacus.rootlattice import RootPoint
+from coxabacus.window import identity
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)
@@ -207,3 +211,27 @@ def test_abacus_from_word_reads_its_letters_as_integers(letters):
     # read like every other constructor's integers, not compared or indexed raw
     with pytest.raises(MalformedText, match="not an integer"):
         cx.abacus_from_word(C3, letters)
+
+
+def test_window_of_is_the_minimal_window(tables):
+    # every element's own window, from its level vector alone
+    for (fam, n), table in tables.items():
+        ctx = cx.make_context(fam, n)
+        for w in table.elements():
+            assert window_of(ctx, from_permutation(w).levels) == w.window
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+@pytest.mark.parametrize(
+    "call",
+    [lambda g: ascent_walk(C3, g),
+     lambda g: apply_generator_abacus(identity_abacus(C3), g),
+     lambda g: apply_generator_left(identity(C3), g),
+     lambda g: descent_class(identity(C3), g),
+     lambda g: reflect(RootPoint(C3, (0, 0, 0)), g)],
+    ids=["ascent_walk", "apply_generator_abacus", "apply_generator_left", "descent_class", "reflect"],
+)
+def test_generator_index_and_walk_length_are_read_as_integers(call, bad):
+    # a float index would move runners to float levels; a string or None is no index
+    with pytest.raises(MalformedText, match="not an integer"):
+        call(bad)

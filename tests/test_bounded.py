@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import coxabacus as cx
 from coxabacus import Family
-from coxabacus.abacus import Abacus, abacus_from_word, ascent_walk, generator_moves
+from coxabacus.abacus import Abacus, abacus_from_word, ascent_walk, generator_moves, move_levels
+from coxabacus.abacus import size_change
 from coxabacus.bounded import (
     abacus_from_bounded,
     bounded_from_abacus,
@@ -48,6 +49,13 @@ def test_parse_and_str_round_trip():
     assert str(beta) == "(3*,2)"
     assert parse_bounded(C3, "(5,5,4,2,1)").parts == (5, 5, 4, 2, 1)
     assert parse_bounded(C3, "()").parts == ()
+
+
+def test_parse_reads_fields_as_every_value_does():
+    # one tokenizer for every model: commas or spaces, in at most one bracket pair
+    assert parse_bounded(C3, "(5 5 4 2 1)") == parse_bounded(C3, "(5,5,4,2,1)")
+    assert parse_bounded(BD3, "[3* 2]") == parse_bounded(BD3, "(3*,2)")
+    assert parse_bounded(C3, "( )").parts == ()
 
 
 def test_part_bound():
@@ -272,3 +280,24 @@ def test_running_gap_count_is_the_per_bead_count():
         assert beta == make_bounded(ctx, *_parts_by_gap_count(a))
         assert sum(beta.parts) == length_from_window(cx.to_permutation(a))
         assert abacus_from_bounded(beta) == a
+
+
+@pytest.mark.parametrize(
+    "family, n, max_len",
+    [*((fam, n, 8) for fam, n in STANDARD_CASES),
+     (Family.C_OVER_C, 6, 12), (Family.B_OVER_B, 5, 12), (Family.B_OVER_D, 5, 12),
+     (Family.D_OVER_D, 6, 12)],
+)
+def test_each_ascent_adds_one_box(family, n, max_len):
+    # w = s_g x above x: beta(w) is beta(x) with one box on the first part of
+    # some size, or with a new last part 1
+    ctx = cx.make_context(family, n)
+    tables = [generator_moves(ctx, g) for g in ctx.generators()]
+    for layer in ascent_walk(ctx, max_len - 1):
+        for x in layer:
+            p = bounded_from_abacus(Abacus(ctx, x)).parts
+            grown = {p + (1,)} | {p[:i] + (p[i] + 1,) + p[i + 1:]
+                                  for i in range(len(p)) if i == 0 or p[i - 1] != p[i]}
+            for moves in tables:
+                if size_change(n, x, moves) > 0:
+                    assert bounded_from_abacus(Abacus(ctx, move_levels(x, moves))).parts in grown

@@ -443,6 +443,25 @@ def test_words_with_a_stray_bracket_exit_2(capsys, word):
     assert err == f"error: MalformedText: unbalanced brackets: {word!r}\n"
 
 
+@pytest.mark.parametrize("spaced", ["(5 5 4 2 1)", "5 5 4 2 1", "[5, 5 4,2 1]"])
+def test_bounded_values_split_on_spaces_like_every_value(capsys, spaced):
+    argv = ("convert", "--family", "CC", "--rank", "3", "--from", "bounded", "--to", "root")
+    assert run(capsys, *argv, spaced) == run(capsys, *argv, "(5,5,4,2,1)") == (0, "(1,2,-2)\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [("(5,,5)", "MalformedText: empty field between commas: '(5,,5)'"),
+     ("(5,5,)", "MalformedText: empty field between commas: '(5,5,)'"),
+     ("((3,2", "MalformedText: unbalanced brackets: '((3,2'"),
+     (")3,2(", "MalformedText: unbalanced brackets: ')3,2('"),
+     ("(3 *,2)", "MalformedBounded: part '' is not an integer")],
+)
+def test_bounded_value_errors_name_their_class(capsys, text, err):
+    argv = ("convert", "--family", "BD", "--rank", "3", "--from", "bounded", "--to", "window")
+    assert run(capsys, *argv, text) == (2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize(
     "rep, text, error",
     [("window", "[a]", MalformedText), ("root", "(x)", MalformedText),

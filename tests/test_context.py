@@ -5,7 +5,7 @@ import pytest
 
 import coxabacus as cx
 from coxabacus import Family, GroupContext, coxeter_matrix, make_context
-from coxabacus.context import integers
+from coxabacus.context import integers, tokens
 from coxabacus.errors import BadRequest, MalformedText, RankTooSmall
 
 ALL_FAMILIES = list(Family)
@@ -177,3 +177,23 @@ def test_integers_take_what_operator_index_takes():
     assert integers([3, True, -2]) == (3, 1, -2)
     assert integers(x for x in (1, 2)) == (1, 2)
     assert integers(()) == ()
+
+
+def test_tokens_split_on_commas_and_spaces_in_one_bracket_pair():
+    fields = ["5", "5", "4", "2", "1"]
+    for text in ("(5 5 4 2 1)", "(5,5,4,2,1)", "[5, 5,4 2,1]", " 5 5 4 2 1 ", "(5,5 ,4,2,1)"):
+        assert tokens(text) == fields
+    assert tokens("(3*,2)") == ["3*", "2"]
+    assert tokens("") == tokens("()") == tokens("[ ]") == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("(5,,5)", "empty field between commas"), ("(5,5,)", "empty field between commas"),
+     (",", "empty field between commas"), ("((3,2", "unbalanced brackets"),
+     ("(3,2]", "unbalanced brackets"), ("3 [2]", "unbalanced brackets")],
+)
+def test_tokens_reject_stray_brackets_and_empty_fields(text, message):
+    with pytest.raises(MalformedText) as err:
+        tokens(text)
+    assert str(err.value) == f"{message}: {text!r}"
