@@ -34,10 +34,6 @@ def runner_of(ctx: GroupContext, value: int) -> int:
     return r
 
 
-def level_of(ctx: GroupContext, value: int) -> int:
-    return (value - runner_of(ctx, value)) // ctx.N
-
-
 def make_abacus(ctx: GroupContext, levels) -> Abacus:
     levels = integers(levels)
     if len(levels) != 2 * ctx.n:
@@ -61,7 +57,7 @@ def from_permutation(w: MirroredPermutation) -> Abacus:
     ctx = w.ctx
     levels = [0] * (2 * ctx.n)
     for e in w.window:
-        levels[runner_of(ctx, e) - 1] = level_of(ctx, e)
+        levels[runner_of(ctx, e) - 1] = e // ctx.N
     return Abacus(ctx, tuple(levels))
 
 
@@ -78,7 +74,7 @@ def window_of(ctx: GroupContext, levels) -> tuple[int, ...]:
 
 
 def bead_at(a: Abacus, value: int) -> bool:
-    return level_of(a.ctx, value) <= a.level(runner_of(a.ctx, value))
+    return value // a.ctx.N <= a.level(runner_of(a.ctx, value))
 
 
 def is_even(a: Abacus) -> bool:

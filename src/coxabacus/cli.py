@@ -12,16 +12,6 @@ from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context, tokens
 from .core import abacus_of, from_abacus, make_core
 from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
-from .render import (
-    render_abacus_svg,
-    render_abacus_text,
-    render_bounded_svg,
-    render_bounded_text,
-    render_core_svg,
-    render_core_text,
-    render_peel_trace,
-    render_word,
-)
 from .rootlattice import RootPoint, coordinates, from_coordinates
 from .window import from_base_window
 
@@ -44,6 +34,10 @@ def _letters(text: str) -> list[int]:
         return [int(t.removeprefix("s")) for t in tokens(text)]
     except ValueError:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
+
+
+def render_word(letters) -> str:
+    return " ".join(f"s{r}" for r in letters)
 
 
 def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
@@ -173,16 +167,17 @@ def cmd_enumerate(ctx: GroupContext, args) -> str:
 
 
 def cmd_render(ctx: GroupContext, args) -> str:
+    from . import render  # here, not at the top: only this command draws
     a = parse_element(ctx, args.source, args.value)
+    text = args.format == "text"
     if args.what == "abacus":
-        return (render_abacus_text if args.format == "text" else render_abacus_svg)(a)
+        return (render.render_abacus_text if text else render.render_abacus_svg)(a)
     if args.what == "core":
-        return (render_core_text if args.format == "text" else render_core_svg)(from_abacus(a))
+        return (render.render_core_text if text else render.render_core_svg)(from_abacus(a))
     if args.what == "bounded":
-        return (
-            render_bounded_text if args.format == "text" else render_bounded_svg
-        )(bounded_from_abacus(a))
-    return render_peel_trace(a, args.format)
+        return (render.render_bounded_text if text else render.render_bounded_svg)(
+            bounded_from_abacus(a))
+    return render.render_peel_trace(a, args.format)
 
 
 def _layers(ctx: GroupContext, walk: list[dict]) -> list[list[tuple]]:

@@ -162,7 +162,7 @@ def residue_set(lam: CorePartition, i: int, j: int) -> frozenset:
 
 def residue(lam: CorePartition, i: int, j: int):
     """Public residue view: an int, a sorted tuple pair, or None."""
-    rs = residue_set(lam, i, j)
+    rs = residue_set(lam, *integers((i, j)))
     if not rs:
         return None
     if len(rs) == 1:

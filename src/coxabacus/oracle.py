@@ -21,7 +21,7 @@ from .abacus import runner_of, size_change
 from .context import Family, GroupContext, integers
 from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
-from .errors import UnknownGenerator
+from .errors import BadRequest, UnknownGenerator
 from .rootlattice import RootPoint
 from .window import MirroredPermutation, _cond_n, identity, normalize
 
@@ -77,6 +77,9 @@ class QuotientTable:
 
 
 def enumerate_quotient(ctx: GroupContext, max_len: int) -> QuotientTable:
+    (max_len,) = integers((max_len,))
+    if max_len < 0:
+        raise BadRequest("--max-len must be nonnegative")
     e = identity(ctx)
     lengths = {e.window: 0}
     by_length = [[e]]

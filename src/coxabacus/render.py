@@ -3,16 +3,12 @@ peeling traces.  Output is deterministic: same input, same bytes."""
 
 from __future__ import annotations
 
-from .abacus import Abacus, bead_at, generator_moves, move_levels
+from .abacus import Abacus, generator_moves, move_levels
 from .bounded import BoundedPartition, bounded_from_abacus, residue_filling, word_from_filling
 from .core import CorePartition, from_abacus, residue_set
 from .errors import UnrenderableCombination
 
 EMPTY = "(empty diagram)\n"
-
-
-def render_word(letters) -> str:
-    return " ".join(f"s{r}" for r in letters)
 
 
 # --- abacus --------------------------------------------------------------
@@ -22,7 +18,7 @@ def _abacus_grid(a: Abacus) -> list[list[tuple[int, bool]]]:
     ctx = a.ctx
     lo, hi = min(min(a.levels) - 1, -1), max(max(a.levels) + 1, 1)
     return [
-        [(m * ctx.N + r, bead_at(a, m * ctx.N + r)) for r in range(1, 2 * ctx.n + 1)]
+        [(m * ctx.N + r, m <= a.level(r)) for r in range(1, 2 * ctx.n + 1)]
         for m in range(lo, hi + 1)
     ]
 
@@ -120,10 +116,11 @@ def render_peel_trace(a: Abacus, fmt: str = "text") -> str:
         raise UnrenderableCombination(f"unknown format {fmt!r}")
     draw = render_core_text if fmt == "text" else render_core_svg
     letters = word_from_filling(bounded_from_abacus(a))
+    tables = [generator_moves(a.ctx, g) for g in a.ctx.generators()]
     frames, x = [], a.levels
     for k, r in enumerate(letters):
         frames.append(f"step {k}: remove residue {r}\n{draw(from_abacus(Abacus(a.ctx, x)))}")
-        x = move_levels(x, generator_moves(a.ctx, r))
+        x = move_levels(x, tables[r])
     frames.append(f"step {len(letters)}: identity\n{draw(from_abacus(Abacus(a.ctx, x)))}")
     return "\n".join(frames)
 

@@ -485,7 +485,7 @@ except SystemExit as exc:
     code = exc.code
 print(code, *(m for m in sys.argv[2].split() if m in sys.modules))
 """
-ENGINE_ONLY = "enum functools collections types argparse json coxabacus.oracle"
+ENGINE_ONLY = "enum functools collections types argparse json coxabacus.oracle coxabacus.render"
 
 
 @pytest.mark.parametrize(
@@ -493,13 +493,17 @@ ENGINE_ONLY = "enum functools collections types argparse json coxabacus.oracle"
     [
         (["convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "bounded", "s1 s0"],
          ENGINE_ONLY),
+        # cli writes the word itself: only the render command loads the drawings
+        (["convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "word", "s1 s0"],
+         ENGINE_ONLY),
         (["poset", "--family", "BD", "--rank", "3", "--max-len", "5"], ENGINE_ONLY),
         # json writes enumerate's records, and itself loads enum, functools, collections and types
-        (["enumerate", "--family", "DD", "--rank", "4", "--max-len", "6"], "argparse coxabacus.oracle"),
+        (["enumerate", "--family", "DD", "--rank", "4", "--max-len", "6"],
+         "argparse coxabacus.oracle coxabacus.render"),
         # argparse prints the help, and itself loads enum, functools, collections and types
         (["--help"], "json coxabacus.oracle dataclasses inspect"),
     ],
-    ids=["convert", "poset", "enumerate", "help"],
+    ids=["convert", "convert-word", "poset", "enumerate", "help"],
 )
 def test_a_plain_command_loads_only_the_engine(argv, unwanted):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -508,7 +512,7 @@ def test_a_plain_command_loads_only_the_engine(argv, unwanted):
     lines = proc.stdout.splitlines()
     assert lines[-1] == "0" and len(lines) > 1
     if argv[0] == "convert":
-        assert lines == ["(2)", "0"]
+        assert lines == [{"bounded": "(2)", "word": "s1 s0"}[argv[-2]], "0"]
 
 
 def test_closed_stdout_exits_quietly():

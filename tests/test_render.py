@@ -6,6 +6,8 @@ import pytest
 import coxabacus as cx
 import coxabacus.render as render
 from coxabacus import Family
+from coxabacus.abacus import generator_moves
+from coxabacus.cli import render_word
 from coxabacus.errors import UnrenderableCombination
 from coxabacus.oracle import central_peel
 from coxabacus.render import (
@@ -16,7 +18,6 @@ from coxabacus.render import (
     render_core_svg,
     render_core_text,
     render_peel_trace,
-    render_word,
 )
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -46,6 +47,47 @@ def test_abacus_text_cells_fit_the_last_row():
     lines = render_abacus_text(a).splitlines()
     assert lines[-1].split()[-1] == "101"
     assert {len(line) for line in lines} == {50 * (len("101") + 4)}
+
+
+# the identity's levels are all 0, so only the floor -1..1 sets its rows
+IDENTITY_ABACUS_TEXT = {
+    Family.C_OVER_C: (
+        "  (-4)  (-3)  (-2)  (-1)",
+        "   (1)   (2)   (3)   (4)",
+        "    6     7     8     9 ",
+    ),
+    Family.B_OVER_B: (
+        "  (-6)  (-5)  (-4)  (-3)  (-2)  (-1)",
+        "   (1)   (2)   (3)   (4)   (5)   (6)",
+        "    8     9    10    11    12    13 ",
+    ),
+    Family.B_OVER_D: (
+        "  (-6)  (-5)  (-4)  (-3)  (-2)  (-1)",
+        "   (1)   (2)   (3)   (4)   (5)   (6)",
+        "    8     9    10    11    12    13 ",
+    ),
+    Family.D_OVER_D: (
+        "  (-8)  (-7)  (-6)  (-5)  (-4)  (-3)  (-2)  (-1)",
+        "   (1)   (2)   (3)   (4)   (5)   (6)   (7)   (8)",
+        "   10    11    12    13    14    15    16    17 ",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_abacus_text_of_the_identity(family):
+    a = cx.identity_abacus(cx.make_context(family, family.min_rank))
+    assert render_abacus_text(a) == "\n".join(IDENTITY_ABACUS_TEXT[family]) + "\n"
+
+
+def test_abacus_text_cells_fit_the_end_labels():
+    # the top row runs -104..-99: its last label, not the wider one before
+    # it, sets the cell width, as the bottom row's last label 111 does
+    a = cx.from_coordinates(cx.RootPoint(C3, (14, 0, 0)))
+    lines = render_abacus_text(a).splitlines()
+    assert lines[0] == " (-104) (-103) (-102) (-101) (-100)  (-99)"
+    assert lines[-1] == "   106    107    108    109    110    111 "
+    assert len(lines) == 31 and {len(line) for line in lines} == {6 * 7}
 
 
 def test_abacus_text_deterministic():
@@ -109,6 +151,23 @@ def test_peel_trace_frames_are_word_suffixes(tables, monkeypatch):
     c2 = cx.make_context(Family.C_OVER_C, 2)
     long_core = cx.from_abacus(cx.from_coordinates(cx.RootPoint(c2, (300, -120))))
     _assert_trace_is_the_peel(long_core)
+
+
+def test_peel_trace_fetches_each_move_table_once(monkeypatch):
+    # n+1 tables for the whole trace, not one per letter
+    a = cx.from_permutation(cx.from_base_window(C3, [-11, -9, -1, 8, 16, 18]))
+    letters = cx.word_from_filling(cx.bounded_from_abacus(a))
+    assert len(letters) > C3.n + 1
+    fetched = []
+
+    def counted(ctx, g):
+        fetched.append(g)
+        return generator_moves(ctx, g)
+
+    monkeypatch.setattr(render, "generator_moves", counted)
+    trace = render_peel_trace(a)
+    assert trace.count("step ") == len(letters) + 1
+    assert 0 < len(fetched) <= C3.n + 1
 
 
 def test_peel_trace_rejects_unknown_format():
