@@ -1,13 +1,13 @@
 """Bounded partitions, a view of the level vector: the parts of the upper
 diagram rows, with the star decoration, read off the abacus runner by
-runner, and the residue filling whose reading is the canonical reduced
-word: its rows, acting on the identity, give back the abacus."""
+runner and read back onto it bead by bead, and the residue filling, whose
+reading is the canonical reduced word."""
 
 from __future__ import annotations
 
-from operator import add, itemgetter, lt
+from operator import lt
 
-from .abacus import Abacus, generator_moves, identity_abacus, move_levels
+from .abacus import Abacus
 from .context import GroupContext, Record, integers, tokens
 from .errors import MalformedBounded
 
@@ -95,25 +95,46 @@ def bounded_from_abacus(a: Abacus) -> BoundedPartition:
                 parts.append(r + ctx.x0)
                 if r == n and ctx.fork_at_n:
                     star = len(parts) - 1
-    return make_bounded(ctx, parts, star)
+    return BoundedPartition(ctx, tuple(parts), star)  # the last part of its size
 
 
 def abacus_from_bounded(beta: BoundedPartition) -> Abacus:
-    """The filling reads the canonical word: its rows act on the identity top
-    to bottom, each left to right.  Each distinct row is composed once into a
-    runner map, under which level t becomes level src[t] plus shift[t]."""
-    ctx, maps = beta.ctx, {}
-    tables = [generator_moves(ctx, g) for g in ctx.generators()]
-    perms = [[(r, 0, s) for r, _, s in moves] for moves in tables]  # no shifts
-    levels = zero = identity_abacus(ctx).levels
-    for row in map(tuple, residue_filling(beta)):
-        if row not in maps:
-            src, shift = tuple(range(2 * ctx.n)), zero
-            for g in row:
-                src, shift = move_levels(src, perms[g]), move_levels(shift, tables[g])
-            maps[row] = itemgetter(*src), shift
-        pick, shift = maps[row]
-        levels = list(map(add, pick(levels), shift))
+    """bounded_from_abacus backwards, one bead past N per part, smallest first:
+    a part that is not the next runner's gap count marks a gap there, as all
+    later parts are larger.  A run of levels where none of the j runners
+    going stops is j parts c + 2n - j a level, read in one step."""
+    ctx, desc = beta.ctx, beta.parts
+    n, c, total = ctx.n, 1 + ctx.x0 + ctx.xn, len(desc)
+    parts = [*reversed(desc), None]  # None ends the parts: no count equals it
+    unstarred = star_size(ctx) if beta.star is None else None
+    levels, i = [0] * (2 * n), 0
+    for r in range(n):  # part r + 1 + x0, but n + x0 only if starred at a fork at s_n
+        if parts[i] == r + 1 + ctx.x0 != unstarred:
+            levels[r], i = 1, i + 1
+    after, before = sum(levels), n - sum(levels)  # below 0 after r, below 1 before
+    for r in range(n, 2 * n):  # a bead at level 1 where the mirror has none
+        mirror = levels[~r]
+        after -= mirror
+        if not mirror and parts[i] == c + before + after:
+            levels[r], i = 1, i + 1
+        before += not levels[r]
+    active, m = [r for r, level in enumerate(levels) if level], 2
+    while active:  # each level decided stops at least one runner
+        v = c + 2 * n - len(active)
+        if parts[i] == v:  # the levels where none stops: j parts v each
+            full = (total - i - desc.index(v)) // len(active)
+            m, i = m + full, i + full * len(active)
+        going = []
+        for k, r in enumerate(active):
+            if parts[i] == v + k - len(going):
+                going.append(r)
+                i += 1
+            else:
+                levels[r] = m - 1
+        active, m = going, m + 1
+    levels = [level or -levels[~r] for r, level in enumerate(levels)]  # the rest mirror
+    if ctx.fork_at_zero and sum(map(abs, levels[:n])) % 2:  # the bead at N+1 has no part,
+        levels[0], levels[-1] = 1 - levels[0], levels[0] - 1  # so runner 1 at a+1 reads as 2n at a
     return Abacus(ctx, tuple(levels))
 
 

@@ -10,7 +10,7 @@ from .abacus import make_abacus, to_permutation, window_of
 from .bounded import abacus_from_bounded, bounded_from_abacus, parse_bounded
 from .bounded import word_from_filling
 from .context import Family, GroupContext, make_context, tokens
-from .core import abacus_of, from_abacus, make_core
+from .core import CorePartition, from_abacus, to_abacus
 from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 from .rootlattice import RootPoint, coordinates, from_coordinates
 from .window import from_base_window
@@ -54,7 +54,7 @@ def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
     if rep == "root":
         return from_coordinates(RootPoint(ctx, tuple(_ints(value))))
     if rep == "core":
-        return abacus_of(make_core(ctx, _ints(value)))
+        return to_abacus(CorePartition(ctx, tuple(_ints(value))))
     if rep == "bounded":
         return abacus_from_bounded(parse_bounded(ctx, value))
     if rep == "word":
@@ -65,15 +65,15 @@ def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
 def format_element(a: Abacus, rep: str) -> str:
     if rep == "window":
         try:  # N times the input's levels: may pass Python's int-to-text limit
-            return "[" + ",".join(str(v) for v in to_permutation(a).window) + "]"
+            return "[" + ",".join([str(v) for v in to_permutation(a).window]) + "]"
         except ValueError as exc:
             raise BadRequest(str(exc)) from None
     if rep == "levels":
-        return "(" + ",".join(str(v) for v in a.levels) + ")"
+        return "(" + ",".join([str(v) for v in a.levels]) + ")"
     if rep == "root":
-        return "(" + ",".join(str(c) for c in coordinates(a).coords) + ")"
+        return "(" + ",".join([str(v) for v in coordinates(a).coords]) + ")"
     if rep == "core":
-        return "(" + ",".join(str(p) for p in from_abacus(a).rows) + ")"
+        return "(" + ",".join([str(v) for v in from_abacus(a).rows]) + ")"
     if rep == "bounded":
         return str(bounded_from_abacus(a))
     if rep == "word":

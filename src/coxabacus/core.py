@@ -13,11 +13,11 @@ diagonal they mirror those above it.
 from __future__ import annotations
 
 from itertools import chain, count, repeat
-from operator import add, ge, gt, lt, sub
+from operator import add, ge, lt, neg, sub
 
-from .abacus import Abacus
+from .abacus import Abacus, is_even
 from .context import GroupContext, Record, integers
-from .errors import NotACore, NotSymmetric, ParityViolation
+from .errors import BadRequest, NotACore, NotSymmetric, ParityViolation
 
 EMPTY = frozenset()
 
@@ -31,13 +31,8 @@ class CorePartition(Record):
 
 
 def make_core(ctx: GroupContext, rows) -> CorePartition:
-    rows = integers(rows)
-    if min(rows, default=1) <= 0:
-        raise NotACore("rows must be positive")
-    if any(map(lt, rows, rows[1:])):
-        raise NotACore("rows must be weakly decreasing")
-    lam = CorePartition(ctx, rows)
-    validate_core(lam)
+    lam = CorePartition(ctx, integers(rows))
+    to_abacus(lam)
     return lam
 
 
@@ -51,25 +46,28 @@ def diagonal_boxes(lam: CorePartition, d: int) -> int:
     return sum(map(ge, lam.rows, range(1 + d, len(lam.rows) + 1 + d)))
 
 
-def validate_core(lam: CorePartition) -> None:
-    """Symmetry, then the 2n-core property, on the beta numbers u_i = rows_i - i
-    of a partition, with u_i = -i past the last row: it is symmetric iff
-    rows_1 = len(rows) and no u_i is -1 - u_j, and row i has a hook of length
-    2n iff u_i - 2n is no u_j."""
+def validate_core(lam: CorePartition) -> Abacus:
+    """The abacus of a symmetric 2n-core, even at a fork at s_0.  A partition
+    is one iff abacus_of balances it (a sum of 0 leaves no bead but the beta
+    numbers u_i = rows_i - i) and, at that fork, makes it even.  Only on failure
+    are the u_i checked as one set, in order, to name the first check failed."""
     ctx, rows, p = lam.ctx, lam.rows, 2 * lam.ctx.n
+    a = abacus_of(lam)
+    partition = not any(map(lt, rows, rows[1:])) and (not rows or rows[-1] > 0)
+    if partition and a.levels == tuple(map(neg, reversed(a.levels))) and (
+            not ctx.fork_at_zero or is_even(a)):
+        return a
     k = len(rows)
     beta = list(map(sub, rows, range(1, k + 1)))
     members = set(beta)
     # rows that are not a partition differ from their transpose, a partition
-    partition = min(rows, default=1) > 0 and all(map(gt, beta, beta[1:]))
     if row_len(rows, 1) != k or not partition or not members.isdisjoint(map(sub, repeat(-1), beta)):
         raise NotSymmetric(f"{rows} differs from its transpose")
     members.update(range(-k - p, -k))  # u_i - 2n reaches no lower
     if not members.issuperset(map(sub, beta, repeat(p))):
         i = next(i for i, u in enumerate(beta, start=1) if u - p not in members)
         raise NotACore(f"row {i} has a hook of length {p}")
-    if ctx.fork_at_zero and diagonal_boxes(lam, 0) % 2 != 0:
-        raise ParityViolation("odd number of main-diagonal boxes")
+    raise ParityViolation("odd number of main-diagonal boxes")  # all a symmetric core can fail
 
 
 # --- beta numbers <-> abacus ------------------------------------------
@@ -103,8 +101,15 @@ def abacus_of(lam: CorePartition) -> Abacus:
 
 
 def to_abacus(lam: CorePartition) -> Abacus:
-    validate_core(lam)
-    return abacus_of(lam)
+    """validate_core, naming first the two checks make_core makes of the rows."""
+    try:
+        return validate_core(lam)
+    except NotSymmetric:  # raised for every sequence that is not a partition
+        if min(lam.rows) <= 0:  # not empty: the empty partition passes
+            raise NotACore("rows must be positive") from None
+        if any(map(lt, lam.rows, lam.rows[1:])):
+            raise NotACore("rows must be weakly decreasing") from None
+        raise
 
 
 # --- residues ------------------------------------------------------------
@@ -161,8 +166,12 @@ def residue_set(lam: CorePartition, i: int, j: int) -> frozenset:
 
 
 def residue(lam: CorePartition, i: int, j: int):
-    """Public residue view: an int, a sorted tuple pair, or None."""
-    rs = residue_set(lam, *integers((i, j)))
+    """Public residue view: an int, a sorted tuple pair, or None.  Rows and
+    columns are numbered from 1; a cell with i or j below 1 raises BadRequest."""
+    i, j = integers((i, j))
+    if min(i, j) < 1:
+        raise BadRequest(f"no cell ({i}, {j}): rows and columns are numbered from 1")
+    rs = residue_set(lam, i, j)
     if not rs:
         return None
     if len(rs) == 1:

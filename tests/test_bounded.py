@@ -20,7 +20,7 @@ from coxabacus.bounded import (
 from coxabacus.errors import MalformedBounded
 from coxabacus.oracle import apply_generator_left, length_from_window
 from coxabacus.window import identity, normalize
-from conftest import STANDARD_CASES
+from conftest import BENCH_CASES, STANDARD_CASES, long_element
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)
@@ -167,11 +167,13 @@ def test_row_maps_at_a_wide_rank():
     assert abacus_from_bounded(beta) == abacus_from_word(c20, word_from_filling(beta)) == a
 
 
-def test_abacus_from_bounded_fetches_each_move_table_once(monkeypatch):
+def test_abacus_from_bounded_fetches_no_move_table(monkeypatch):
+    # the parts are read straight onto the level vector: no generator acts
     c2 = cx.make_context(Family.C_OVER_C, 2)
     a = cx.from_coordinates(cx.RootPoint(c2, (300, -120)))
     beta = bounded_from_abacus(a)
     assert sum(beta.parts) == 1437
+    walked = abacus_from_word(c2, word_from_filling(beta))
     fetched = []
 
     def counted(ctx, g):
@@ -179,10 +181,9 @@ def test_abacus_from_bounded_fetches_each_move_table_once(monkeypatch):
         return generator_moves(ctx, g)
 
     monkeypatch.setattr("coxabacus.abacus.generator_moves", counted)
-    monkeypatch.setattr("coxabacus.bounded.generator_moves", counted)
-    b = abacus_from_bounded(beta)
-    assert b == a
-    assert 0 < len(fetched) <= c2.n + 1
+    monkeypatch.setattr("coxabacus.bounded.generator_moves", counted, raising=False)
+    assert abacus_from_bounded(beta) == walked == a
+    assert fetched == []
 
 
 def valid_bounded(ctx, size):
@@ -301,3 +302,82 @@ def test_each_ascent_adds_one_box(family, n, max_len):
             for moves in tables:
                 if size_change(n, x, moves) > 0:
                     assert bounded_from_abacus(Abacus(ctx, move_levels(x, moves))).parts in grown
+
+
+# three ranks of each family, from its least
+READING_CASES = [(fam, fam.min_rank + k) for fam in Family for k in range(3)]
+
+
+def test_every_small_bounded_partition_reads_back_as_its_word():
+    read = 0
+    for fam, n in READING_CASES:
+        ctx = cx.make_context(fam, n)
+        for size in range(15):
+            for beta in valid_bounded(ctx, size):
+                a = abacus_from_bounded(beta)
+                assert a == abacus_from_word(ctx, word_from_filling(beta)), beta
+                assert bounded_from_abacus(a) == beta
+                read += 1
+    assert read == 1318
+
+
+@pytest.mark.parametrize("family, n", BENCH_CASES)
+@pytest.mark.parametrize("length", [1000, 3000])
+def test_long_elements_read_back_from_their_bounded_partitions(family, n, length):
+    ctx = cx.make_context(family, n)
+    rng = random.Random(f"bounded {family.alias} {n} {length}")
+    for _ in range(30):
+        a = long_element(ctx, rng, length)
+        beta = bounded_from_abacus(a)
+        assert length <= sum(beta.parts) <= 1.3 * length
+        assert make_bounded(ctx, beta.parts, beta.star) == beta
+        assert abacus_from_bounded(beta) == abacus_from_word(ctx, word_from_filling(beta)) == a
+
+
+def test_bounded_record_is_the_canonical_one(tables):
+    # bounded_from_abacus builds its record itself: make_bounded would give the same
+    for (fam, n), table in tables.items():
+        for w in table.elements():
+            beta = bounded_from_abacus(cx.from_permutation(w))
+            assert make_bounded(beta.ctx, beta.parts, beta.star) == beta
+
+
+@pytest.mark.parametrize(
+    "ctx, text, levels",
+    [
+        # the bead at N+1 has no part: runner 1 at level a + 1 reads as runner 2n at
+        # level a, and evenness decides
+        (B3, "()", (0, 0, 0, 0, 0, 0)),
+        (B3, "(1)", (1, 1, 0, 0, -1, -1)),
+        (B3, "(4,1)", (-1, 1, 0, 0, -1, 1)),
+        (B3, "(5)", (2, 0, 0, 0, 0, -2)),
+        (D4, "(1)", (1, 1, 0, 0, 0, 0, -1, -1)),
+        (D4, "(5,1)", (-1, 1, 0, 0, 0, 0, -1, 1)),
+        (D4, "(6)", (2, 0, 0, 0, 0, 0, 0, -2)),
+    ],
+)
+def test_parity_bead_is_set_by_evenness(ctx, text, levels):
+    a = abacus_from_bounded(parse_bounded(ctx, text))
+    assert a.levels == levels
+    assert cx.is_even(a) and str(bounded_from_abacus(a)) == text
+
+
+@pytest.mark.parametrize(
+    "text, levels",
+    [
+        # at a fork at s_n the part n + x0 = 3 is runner 3's level-1 bead only when
+        # starred; unstarred, it is runner 4's
+        ("(3*)", (0, 0, 1, -1, 0, 0)),
+        ("(3)", (0, 0, -1, 1, 0, 0)),
+        ("(3,3*)", (0, -1, 1, -1, 1, 0)),
+        ("(3,3)", (0, -1, -1, 1, 1, 0)),
+        ("(3,3*,2,1)", (2, 1, 1, -1, -1, -2)),
+        ("(3,3,2,1)", (2, 1, -1, 1, -1, -2)),
+    ],
+)
+def test_starred_part_beside_unstarred_parts_of_its_size(text, levels):
+    beta = parse_bounded(BD3, text)
+    a = abacus_from_bounded(beta)
+    assert a.levels == levels
+    assert bounded_from_abacus(a) == beta
+    assert a == abacus_from_word(BD3, word_from_filling(beta))

@@ -496,6 +496,11 @@ ENGINE_ONLY = "enum functools collections types argparse json coxabacus.oracle c
         # cli writes the word itself: only the render command loads the drawings
         (["convert", "--family", "CC", "--rank", "3", "--from", "word", "--to", "word", "s1 s0"],
          ENGINE_ONLY),
+        # a core and a bounded partition are read straight onto the level vector
+        (["convert", "--family", "CC", "--rank", "3", "--from", "core", "--to", "word", "(2,1)"],
+         ENGINE_ONLY),
+        (["convert", "--family", "CC", "--rank", "3", "--from", "bounded", "--to", "word", "(2)"],
+         ENGINE_ONLY),
         (["poset", "--family", "BD", "--rank", "3", "--max-len", "5"], ENGINE_ONLY),
         # json writes enumerate's records, and itself loads enum, functools, collections and types
         (["enumerate", "--family", "DD", "--rank", "4", "--max-len", "6"],
@@ -503,7 +508,7 @@ ENGINE_ONLY = "enum functools collections types argparse json coxabacus.oracle c
         # argparse prints the help, and itself loads enum, functools, collections and types
         (["--help"], "json coxabacus.oracle dataclasses inspect"),
     ],
-    ids=["convert", "convert-word", "poset", "enumerate", "help"],
+    ids=["convert", "convert-word", "convert-core", "convert-bounded", "poset", "enumerate", "help"],
 )
 def test_a_plain_command_loads_only_the_engine(argv, unwanted):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

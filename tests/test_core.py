@@ -28,6 +28,7 @@ from coxabacus.errors import (
 )
 from coxabacus.oracle import abacus_of_path, apply_generator_scan, conjugate, core_size
 from coxabacus.oracle import from_abacus_scan, validate_core_scan
+from conftest import BENCH_CASES, long_element
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D5 = cx.make_context(Family.D_OVER_D, 5)
@@ -152,7 +153,9 @@ def test_core_errors_name_the_first_failed_check(ctx, rows, error, message):
         assert type(err.value) is error and str(err.value) == message
 
 
-@pytest.mark.parametrize("rows", [(2, 3), (3, 0, 0), (2, 0), (3, 1, 2)])
+# the last two would pass as symmetric cores, from their level vectors, if a
+# last row of 0 were taken for a partition's
+@pytest.mark.parametrize("rows", [(2, 3), (3, 0, 0), (2, 0), (3, 1, 2), (1, 0), (2, 1, 0)])
 def test_validate_core_calls_a_non_partition_asymmetric(rows):
     with pytest.raises(NotSymmetric) as err:
         validate_core(CorePartition(C3, rows))
@@ -170,6 +173,15 @@ def test_residue_fixed_region():
     assert residue(lam, 1, 1) == 0
     assert residue(lam, 1, 4) == 3  # past n the residues fold back
     assert residue(lam, 2, 1) == 1
+
+
+@pytest.mark.parametrize("i, j", [(-5, 3), (0, 0), (1, 0), (0, 2), (3, -1)])
+def test_residue_of_a_cell_outside_the_quadrant_is_a_bad_request(i, j):
+    lam = make_core(C3, (3, 1, 1))
+    with pytest.raises(BadRequest) as err:
+        residue(lam, i, j)
+    assert str(err.value) == f"no cell ({i}, {j}): rows and columns are numbered from 1"
+    assert residue(lam, 1, 1) == 0
 
 
 def test_residue_d5_figure_cell():
@@ -420,3 +432,36 @@ def test_validate_core_matches_hook_scan(tables):
             lam = CorePartition(ctx, rows)
             expected = _outcome(validate_core_scan, lam)
             assert _outcome(validate_core, lam) == expected, rows
+
+
+def _with_box(rows, i):
+    """The rows with one box added to row i (0-based), or None when no box
+    can be added there."""
+    length = rows[i] if i < len(rows) else 0
+    if i > len(rows) or (i > 0 and rows[i - 1] == length):
+        return None
+    return (*rows[:i], length + 1, *rows[i + 1:])
+
+
+@pytest.mark.parametrize("family, n", BENCH_CASES)
+def test_long_cores_read_straight_onto_the_level_vector(family, n):
+    # cores of an element of length about 10^3: the level vector read off
+    # the beta numbers is the abacus, as the boundary-path labels give it;
+    # one box added to the first row, or the last row dropped, fails the
+    # check the hook scan fails, and a box on the diagonal may give a core
+    ctx = cx.make_context(family, n)
+    rng = random.Random(f"core {family.alias} {n}")
+    for _ in range(3):
+        a = long_element(ctx, rng, 1000)
+        lam = from_abacus(a)
+        assert to_abacus(lam) == validate_core(lam) == abacus_of_path(lam) == a
+        assert make_core(ctx, lam.rows) == lam
+        assert _outcome(validate_core_scan, CorePartition(ctx, _with_box(lam.rows, 0))) is NotSymmetric
+        broken = [_with_box(lam.rows, 0), lam.rows[:-1], _with_box(lam.rows, diagonal_boxes(lam, 0))]
+        for rows in filter(None, broken):
+            bad = CorePartition(ctx, rows)
+            expected = _outcome(validate_core_scan, bad)
+            assert _outcome(validate_core, bad) == _outcome(to_abacus, bad) == expected
+            assert _outcome(lambda lam: make_core(ctx, lam.rows), bad) == expected
+            if expected is None:
+                assert validate_core(bad) == abacus_of_path(bad)
