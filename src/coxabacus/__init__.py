@@ -23,11 +23,11 @@ from .bounded import (
     residue_filling,
     word_from_filling,
 )
-from .context import Family, GroupContext, coxeter_matrix, make_context
+from .context import Family, GroupContext, make_context
 from .core import CorePartition, from_abacus, make_core, residue, to_abacus
 from .errors import CoxabacusError
 from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import MirroredPermutation, from_base_window, identity, normalize
+from .window import MirroredPermutation, from_base_window
 
 __all__ = [
     "Abacus",

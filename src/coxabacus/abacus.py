@@ -23,9 +23,6 @@ class Abacus(Record):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "levels", levels)
 
-    def level(self, runner: int) -> int:
-        return self.levels[runner - 1]
-
 
 def runner_of(ctx: GroupContext, value: int) -> int:
     r = value % ctx.N
@@ -71,10 +68,6 @@ def to_permutation(a: Abacus) -> MirroredPermutation:
 def window_of(ctx: GroupContext, levels) -> tuple[int, ...]:
     """The minimal window of the level vector, whose window entries are level * N + runner."""
     return minimal_window(ctx, map(add, map(ctx.N.__mul__, levels), range(1, ctx.N)))
-
-
-def bead_at(a: Abacus, value: int) -> bool:
-    return value // a.ctx.N <= a.level(runner_of(a.ctx, value))
 
 
 def is_even(a: Abacus) -> bool:

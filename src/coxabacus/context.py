@@ -1,4 +1,4 @@
-"""Group context: family, rank, generator alphabet and Coxeter matrix.
+"""Group context: family, rank and generator alphabet.
 
 Each of the four families realizes a quotient W~/W of an affine Weyl group
 by its finite part.  The context fixes the rank n, the modulus N = 2n+1,
@@ -128,8 +128,10 @@ def integers(values) -> tuple[int, ...]:
 
 def tokens(text: str) -> list[str]:
     """The fields of a value in at most one () or [] pair, split on commas
-    and spaces: any other bracket, or an empty field between commas, raises
-    MalformedText."""
+    and spaces: any other bracket, an empty field between commas, or text
+    that int() misreads, not ASCII or with a "_", raises MalformedText."""
+    if not text.isascii() or "_" in text:
+        raise MalformedText(f"non-ASCII character or underscore: {text!r}")
     inner = text.strip()
     if inner[:1] + inner[-1:] in ("()", "[]"):
         inner = inner[1:-1]
@@ -148,32 +150,3 @@ def make_context(family: Family, n: int) -> GroupContext:
         raise RankTooSmall(f"family {family.value} requires rank >= {family.min_rank}, got {n}")
     return GroupContext(family, n)
 
-
-def coxeter_matrix(ctx: GroupContext) -> list[list[int]]:
-    """Bond orders m(i,j) for the generator alphabet 0..n.
-
-    The underlying graph is a path 2,...,n-2 of unlabeled (order 3) edges,
-    closed off on each end either by a 4-bond to the path (C flavor) or by
-    a fork of two 3-bonds (D flavor).
-    """
-    n = ctx.n
-    m = [[2] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        m[i][i] = 1
-
-    def bond(i, j, order):
-        m[i][j] = order
-        m[j][i] = order
-
-    for i in range(1, n - 1):
-        bond(i, i + 1, 3)
-    if ctx.fork_at_zero:
-        bond(0, 2, 3)
-    else:
-        bond(0, 1, 4)
-    if ctx.fork_at_n:
-        bond(n - 2, n, 3)
-        bond(n - 1, n, 2)
-    else:
-        bond(n - 1, n, 4)
-    return m

@@ -13,7 +13,7 @@ diagonal they mirror those above it.
 from __future__ import annotations
 
 from itertools import chain, count, repeat
-from operator import add, ge, lt, neg, sub
+from operator import add, lt, neg, sub
 
 from .abacus import Abacus, is_even
 from .context import GroupContext, Record, integers
@@ -39,11 +39,6 @@ def make_core(ctx: GroupContext, rows) -> CorePartition:
 def row_len(rows: tuple[int, ...], i: int) -> int:
     """Length of row i (1-indexed), 0 beyond the partition."""
     return rows[i - 1] if 1 <= i <= len(rows) else 0
-
-
-def diagonal_boxes(lam: CorePartition, d: int) -> int:
-    """Number of boxes (i, i+d) of the partition on the d-th diagonal."""
-    return sum(map(ge, lam.rows, range(1 + d, len(lam.rows) + 1 + d)))
 
 
 def validate_core(lam: CorePartition) -> Abacus:

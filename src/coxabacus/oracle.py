@@ -1,29 +1,62 @@
-"""Slow paths kept to check the level-vector engine: the window action,
-written from the definition of the generators as value swaps, and
-breadth-first enumeration by it, the membership and minimality tests and
-the descent class of a window, Bruhat order via the lifting property, the
-generator action on a core by scanning its cells for residues and on root
-points by hand, the core check by one hook per box, the abacus of a core
-by labelling its boundary path and the core of an abacus by walking its
-positions, central peeling, the bounded diagram read off the hooks of the
-core, and four length formulas, the last an inversion count on the
-window that shares no code with the abacus or the core.  Peeling removes
-the component of the last box of row d, d the number of boxes on the
-family's reference diagonal, until the core is empty: the letters form
-the canonical word and the recorded boxes its upper diagram."""
+"""Slow paths kept to check the level-vector engine: the Coxeter matrix,
+the window action, written from the definition of the generators as value
+swaps, the identity window, the minimal representative of a coset
+(normalize) and breadth-first enumeration by them, the membership and
+minimality tests and the descent class of a window, Bruhat order via the
+lifting property, the generator action on a core by scanning its cells
+for residues and on root points by hand, the core check by one hook per
+box, the boxes on a diagonal, the abacus of a core by labelling its
+boundary path and the core of an abacus by walking its positions,
+central peeling, the bounded diagram read off the hooks of the core, and
+four length formulas, the first reading beads off the abacus (bead_at),
+the last an inversion count on the window that shares no code with the
+abacus or the core.  Peeling removes the component of the last box of
+row d, d the number of boxes on the family's reference diagonal, until
+the core is empty: the letters form the canonical word and the recorded
+boxes its upper diagram."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ge
 
-from .abacus import Abacus, bead_at, from_permutation, generator_moves, move_levels
-from .abacus import runner_of
+from .abacus import Abacus, from_permutation, generator_moves, move_levels, runner_of
 from .context import Family, GroupContext, integers
-from .core import CorePartition, abacus_of, diagonal_boxes, from_abacus, residue_set, row_len
+from .core import CorePartition, abacus_of, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import BadRequest, UnknownGenerator
 from .rootlattice import RootPoint
-from .window import MirroredPermutation, _cond_n, identity, normalize
+from .window import MirroredPermutation, _cond_n, minimal_window
+
+
+def coxeter_matrix(ctx: GroupContext) -> list[list[int]]:
+    """Bond orders m(i,j) for the generator alphabet 0..n.
+
+    The underlying graph is a path 2,...,n-2 of unlabeled (order 3) edges,
+    closed off on each end either by a 4-bond to the path (C flavor) or by
+    a fork of two 3-bonds (D flavor).
+    """
+    n = ctx.n
+    m = [[2] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        m[i][i] = 1
+
+    def bond(i, j, order):
+        m[i][j] = order
+        m[j][i] = order
+
+    for i in range(1, n - 1):
+        bond(i, i + 1, 3)
+    if ctx.fork_at_zero:
+        bond(0, 2, 3)
+    else:
+        bond(0, 1, 4)
+    if ctx.fork_at_n:
+        bond(n - 2, n, 3)
+        bond(n - 1, n, 2)
+    else:
+        bond(n - 1, n, 4)
+    return m
 
 
 def generator_value(ctx: GroupContext, g: int, v: int) -> int:
@@ -55,6 +88,15 @@ def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
     return MirroredPermutation(
         ctx, tuple(generator_value(ctx, g, e) for e in w.window)
     )
+
+
+def identity(ctx: GroupContext) -> MirroredPermutation:
+    return MirroredPermutation(ctx, tuple(range(1, 2 * ctx.n + 1)))
+
+
+def normalize(w: MirroredPermutation) -> MirroredPermutation:
+    """The minimal representative of the coset of w."""
+    return MirroredPermutation(w.ctx, minimal_window(w.ctx, w.window))
 
 
 @dataclass
@@ -319,6 +361,11 @@ def from_abacus_scan(a: Abacus) -> CorePartition:
     return CorePartition(a.ctx, tuple(rows))
 
 
+def diagonal_boxes(lam: CorePartition, d: int) -> int:
+    """Number of boxes (i, i+d) of the partition on the d-th diagonal."""
+    return sum(map(ge, lam.rows, range(1 + d, len(lam.rows) + 1 + d)))
+
+
 def validate_core_scan(lam: CorePartition) -> None:
     """`core.validate_core` by computing the hook of every box: symmetry,
     no hook divisible by 2n, and diagonal parity in the even families."""
@@ -443,8 +490,12 @@ def core_size(a: Abacus) -> int:
 
 # --- length formulas -----------------------------------------------------
 
+def bead_at(a: Abacus, value: int) -> bool:
+    return value // a.ctx.N <= a.levels[runner_of(a.ctx, value) - 1]
+
+
 def lowest_bead(a: Abacus, runner: int) -> int:
-    return a.level(runner) * a.ctx.N + runner
+    return a.levels[runner - 1] * a.ctx.N + runner
 
 
 def gaps_between(a: Abacus, lo: int, hi: int) -> int:

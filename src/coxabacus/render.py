@@ -18,7 +18,7 @@ def _abacus_grid(a: Abacus) -> list[list[tuple[int, bool]]]:
     ctx = a.ctx
     lo, hi = min(min(a.levels) - 1, -1), max(max(a.levels) + 1, 1)
     return [
-        [(m * ctx.N + r, m <= a.level(r)) for r in range(1, 2 * ctx.n + 1)]
+        [(m * ctx.N + r, m <= a.levels[r - 1]) for r in range(1, 2 * ctx.n + 1)]
         for m in range(lo, hi + 1)
     ]
 

@@ -3,7 +3,7 @@
 A mirrored permutation w is a bijection of Z with w(k+N) = w(k)+N and
 w(-k) = -w(k); it is determined by the window [w(1),...,w(2n)].  Elements
 of the quotient are represented by the unique window satisfying the
-family's sorting condition.
+family's sorting condition, which minimal_window finds from any ordering.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
     return MirroredPermutation(ctx, entries)
 
 
-def identity(ctx: GroupContext) -> MirroredPermutation:
-    return MirroredPermutation(ctx, tuple(range(1, 2 * ctx.n + 1)))
-
-
 def _cond_n(ctx: GroupContext, window) -> int:
     """|{i <= n : w(i) >= n+1}| for the window of w: per window position r,
     the shifts m with mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
@@ -62,8 +58,3 @@ def minimal_window(ctx: GroupContext, entries) -> tuple[int, ...]:
         n = ctx.n
         window[n - 1], window[n] = window[n], window[n - 1]
     return tuple(window)
-
-
-def normalize(w: MirroredPermutation) -> MirroredPermutation:
-    """The minimal representative of the coset of w."""
-    return MirroredPermutation(w.ctx, minimal_window(w.ctx, w.window))

@@ -14,6 +14,11 @@ STANDARD_CASES = (
     (Family.B_OVER_B, 3),
     (Family.B_OVER_D, 3),
     (Family.D_OVER_D, 4),
+    (Family.C_OVER_C, 6),
+    (Family.C_OVER_C, 8),
+    (Family.B_OVER_B, 5),
+    (Family.B_OVER_D, 5),
+    (Family.D_OVER_D, 6),
 )
 
 # the cases of the benchmark's convert workload: each family at its least
@@ -34,9 +39,9 @@ def pytest_make_parametrize_id(config, val, argname):
 
 @pytest.fixture(scope="session")
 def tables():
-    """BFS tables up to length 8 for the standard family/rank cases."""
+    """BFS tables up to length 14 for the standard family/rank cases."""
     return {
-        (fam, n): enumerate_quotient(make_context(fam, n), 8)
+        (fam, n): enumerate_quotient(make_context(fam, n), 14)
         for fam, n in STANDARD_CASES
     }
 

@@ -6,7 +6,6 @@ from coxabacus.abacus import (
     Abacus,
     apply_generator_abacus,
     ascent_walk,
-    bead_at,
     from_permutation,
     generator_moves,
     identity_abacus,
@@ -19,10 +18,9 @@ from coxabacus.abacus import (
 )
 from coxabacus.errors import BadRequest, BalanceViolation, MalformedText, ParityViolation, UnknownGenerator
 from coxabacus.errors import ZeroResidue
-from coxabacus.oracle import apply_generator_left, descent_class, first_gap, gaps_between
-from coxabacus.oracle import generator_value, last_bead, lowest_bead, reflect, size_change
+from coxabacus.oracle import apply_generator_left, bead_at, descent_class, first_gap, gaps_between
+from coxabacus.oracle import generator_value, identity, last_bead, lowest_bead, reflect, size_change
 from coxabacus.rootlattice import RootPoint
-from coxabacus.window import identity
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)

@@ -9,10 +9,8 @@ import re
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import from_permutation, is_even
-from coxabacus.core import diagonal_boxes
 from coxabacus.oracle import apply_generator_left, apply_generator_scan, bruhat_leq_lifting
-from coxabacus.oracle import family_membership
-from coxabacus.window import normalize
+from coxabacus.oracle import diagonal_boxes, family_membership, normalize
 
 
 # 1. full pipeline through all six representations, C~/C rank 3
@@ -87,7 +85,7 @@ def test_golden_d5_filling_word():
     ]
 
 
-# 6. every composable round trip is the identity, all elements l <= 8
+# 6. every composable round trip is the identity, all elements l <= 14
 def test_round_trips(tables):
     for (fam, n), table in tables.items():
         ctx = cx.make_context(fam, n)
@@ -132,7 +130,7 @@ def test_action_commutation(tables):
                 )
 
 
-# 8. the bounded diagram equals the peeled box set, l <= 8
+# 8. the bounded diagram equals the peeled box set, l <= 14
 def test_bounded_diagram_is_peel_set(tables):
     for (fam, n), table in tables.items():
         for w in table.elements():
@@ -142,10 +140,10 @@ def test_bounded_diagram_is_peel_set(tables):
 
 
 # 9. Bruhat order on the abacus agrees with the lifting-lemma oracle, all
-# pairs l <= 6
+# pairs l <= 10
 def test_bruhat_equivalence(tables):
     for (fam, n), table in tables.items():
-        elements = [w for w in table.elements() if table.length(w) <= 6]
+        elements = [w for w in table.elements() if table.length(w) <= 10]
         abaci = {w.window: cx.from_permutation(w) for w in elements}
         for x in elements:
             for w in elements:

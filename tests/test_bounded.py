@@ -19,8 +19,7 @@ from coxabacus.bounded import (
     word_from_filling,
 )
 from coxabacus.errors import MalformedBounded
-from coxabacus.oracle import apply_generator_left, length_from_window, size_change
-from coxabacus.window import identity, normalize
+from coxabacus.oracle import apply_generator_left, identity, length_from_window, normalize, size_change
 from conftest import BENCH_CASES, STANDARD_CASES, long_element
 
 C3 = cx.make_context(Family.C_OVER_C, 3)

@@ -472,6 +472,25 @@ def test_non_integer_tokens_raise_typed_errors(rep, text, error):
         parse_element(make_context(Family.C_OVER_C, 3), rep, text)
 
 
+@pytest.mark.parametrize("text", ["1_0", "٣"])
+@pytest.mark.parametrize(
+    "read",
+    [cli._ints, cli._letters, lambda text: cx.parse_bounded(make_context(Family.C_OVER_C, 3), text)],
+    ids=["ints", "letters", "bounded"],
+)
+def test_underscores_and_non_ascii_digits_are_malformed(read, text):
+    """int() reads "1_0" as 10 and "٣" as 3; the tokenizer refuses both."""
+    with pytest.raises(MalformedText) as err:
+        read(text)
+    assert str(err.value) == f"non-ASCII character or underscore: {text!r}"
+
+
+def test_convert_does_not_read_an_underscore_as_a_separator(capsys):
+    argv = ("convert", "--family", "CC", "--rank", "3", "--from", "root", "--to", "window")
+    err = "error: MalformedText: non-ASCII character or underscore: '(1_0,0,0)'\n"
+    assert run(capsys, *argv, "(1_0,0,0)") == (2, "", err)
+
+
 # a fresh interpreter, isolated and without site, with the library last on
 # sys.path, where an installed package sits; it runs one command and prints
 # its exit code and the unwanted modules (argv[2], space-separated) it loaded

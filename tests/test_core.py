@@ -11,7 +11,6 @@ from coxabacus.abacus import bruhat_leq, first_descent, generator_moves, move_le
 from coxabacus.core import (
     CorePartition,
     abacus_of,
-    diagonal_boxes,
     from_abacus,
     make_core,
     residue,
@@ -26,7 +25,7 @@ from coxabacus.errors import (
     NotSymmetric,
     ParityViolation,
 )
-from coxabacus.oracle import abacus_of_path, apply_generator_scan, conjugate, core_size
+from coxabacus.oracle import abacus_of_path, apply_generator_scan, conjugate, core_size, diagonal_boxes
 from coxabacus.oracle import from_abacus_scan, size_change, validate_core_scan
 from conftest import BENCH_CASES, long_element
 

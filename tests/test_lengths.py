@@ -63,8 +63,7 @@ def test_agreement_with_bfs(tables):
 
 
 def test_generator_changes_length_by_one(tables):
-    from coxabacus.oracle import apply_generator_left
-    from coxabacus.window import normalize
+    from coxabacus.oracle import apply_generator_left, normalize
 
     for (fam, n), table in tables.items():
         ctx = cx.make_context(fam, n)
@@ -81,7 +80,7 @@ def test_generator_changes_length_by_one(tables):
 
 
 def test_window_inversions_past_the_bfs():
-    # root points far past the BFS tables' length 8, where the fitted d terms
+    # root points far past the BFS tables' length 14, where the fitted d terms
     # could first go wrong; odd points are not elements in B~/B and D~/D
     rng = random.Random(0)
     for fam, n in [(Family.C_OVER_C, 3), (Family.B_OVER_B, 3), (Family.B_OVER_D, 4),

@@ -15,10 +15,11 @@ from coxabacus.oracle import (
     bruhat_leq_lifting,
     enumerate_quotient,
     family_membership,
+    identity,
     is_minimal_coset_rep,
+    normalize,
     oracle_descents,
 )
-from coxabacus.window import identity, normalize
 
 # layer sizes of the BFS enumeration, frozen as a regression baseline
 LAYER_SIZES = {
@@ -27,6 +28,11 @@ LAYER_SIZES = {
     (Family.B_OVER_B, 3): [1, 1, 1, 2, 2, 3, 4, 4, 5],
     (Family.B_OVER_D, 3): [1, 1, 1, 3, 3, 4, 6, 6, 8],
     (Family.D_OVER_D, 4): [1, 1, 1, 3, 3, 4, 7, 7, 9],
+    (Family.C_OVER_C, 6): [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 17, 21],
+    (Family.C_OVER_C, 8): [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22],
+    (Family.B_OVER_B, 5): [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 11, 14, 16, 19],
+    (Family.B_OVER_D, 5): [1, 1, 1, 2, 2, 4, 5, 6, 8, 10, 13, 15, 19, 22, 27],
+    (Family.D_OVER_D, 6): [1, 1, 1, 2, 2, 4, 5, 6, 8, 10, 14, 16, 20, 24, 29],
 }
 
 
@@ -200,3 +206,26 @@ def test_the_cli_imports_no_check_code():
         "unbound": [],
         "unknown": "module 'coxabacus' has no attribute 'no_such_name'",
     }
+
+
+def test_the_oracle_imports_only_names_the_engine_runs():
+    """A name that oracle.py imports from an engine module is one that an
+    engine module uses too; one that only the oracle uses belongs in
+    oracle.py.  The typed errors are exempt: they are the public error
+    hierarchy, raised or not."""
+    package = pathlib.Path(cx.__file__).parent
+    used = set()
+    for module in PRODUCTION:
+        for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    oracle_only = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse((package / "oracle.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module != "errors"
+        for alias in node.names
+        if alias.name not in used
+    ]
+    assert oracle_only == []

@@ -14,9 +14,11 @@ from coxabacus.oracle import (
     _count_cond_zero,
     apply_generator_left,
     family_membership,
+    identity,
     is_minimal_coset_rep,
+    normalize,
 )
-from coxabacus.window import _cond_n, from_base_window, identity, normalize
+from coxabacus.window import _cond_n, from_base_window
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)
