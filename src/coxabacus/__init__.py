@@ -5,9 +5,14 @@ canonical reduced words."""
 
 from .abacus import (
     Abacus,
+    MirroredPermutation,
+    RootPoint,
     abacus_from_word,
     apply_generator_abacus,
     bruhat_leq,
+    coordinates,
+    from_base_window,
+    from_coordinates,
     from_permutation,
     identity_abacus,
     is_even,
@@ -26,8 +31,6 @@ from .bounded import (
 from .context import Family, GroupContext, make_context
 from .core import CorePartition, from_abacus, make_core, residue, to_abacus
 from .errors import CoxabacusError
-from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import MirroredPermutation, from_base_window
 
 __all__ = [
     "Abacus",

@@ -1,10 +1,19 @@
-"""Balanced flush abacus diagrams on 2n runners.
+"""Balanced flush abacus diagrams on 2n runners, and the two linear views
+of their level vector: mirrored permutations and root lattice points.
 
 The abacus is stored as a level vector: levels[r-1] is the level of the
 lowest bead on runner r, so position mN+r holds a bead iff m <= levels[r-1].
 Balance means the levels of mirrored runners r and N-r cancel.  The level
 vector is the working state: the generator action, the walk of a word, the
 ascent walk and Bruhat order all run on it.
+
+A mirrored permutation w is a bijection of Z with w(k+N) = w(k)+N and
+w(-k) = -w(k); it is determined by the window [w(1),...,w(2n)], whose
+entries are level * N + runner.  Elements of the quotient are represented
+by the unique window satisfying the family's sorting condition, which
+minimal_window finds from any ordering.  A root point is the levels of the
+first n runners; the generator action on it is an integral (affine)
+reflection action on Z^n, written out by hand in `oracle.reflect`.
 """
 
 from __future__ import annotations
@@ -12,8 +21,8 @@ from __future__ import annotations
 from operator import add
 
 from .context import GroupContext, Record, integers
-from .errors import BadRequest, BalanceViolation, NotACore, ParityViolation, UnknownGenerator, ZeroResidue
-from .window import MirroredPermutation, minimal_window
+from .errors import BadRequest, BalanceViolation, NotACore, ParityViolation, ResidueClash
+from .errors import UnknownGenerator, ZeroResidue
 
 
 class Abacus(Record):
@@ -50,6 +59,59 @@ def identity_abacus(ctx: GroupContext) -> Abacus:
     return Abacus(ctx, (0,) * (2 * ctx.n))
 
 
+def is_even(a: Abacus) -> bool:
+    """Parity of the number of gaps before position N in reading order."""
+    return sum(map(abs, a.levels[: a.ctx.n])) % 2 == 0
+
+
+class MirroredPermutation(Record):
+    __slots__ = ("ctx", "window")
+
+    def __init__(self, ctx: GroupContext, window: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "window", window)
+
+
+def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
+    entries = integers(entries)
+    N = ctx.N
+    if len(entries) != 2 * ctx.n:
+        raise ResidueClash(f"window must have {2 * ctx.n} entries")
+    seen = {}
+    for e in entries:
+        r = e % N
+        if r == 0:
+            raise ZeroResidue(f"entry {e} is divisible by N={N}")
+        if r in seen:
+            raise ResidueClash(f"entries {seen[r]} and {e} agree mod N={N}")
+        seen[r] = e
+    for i in range(1, ctx.n + 1):  # each pair (i, N-i) once
+        if entries[i - 1] + entries[N - i - 1] != N:
+            raise BalanceViolation(
+                f"w({i}) + w({N - i}) = {entries[i - 1] + entries[N - i - 1]} != {N}"
+            )
+    return MirroredPermutation(ctx, entries)
+
+
+def _cond_n(ctx: GroupContext, window) -> int:
+    """|{i <= n : w(i) >= n+1}| for the window of w: per window position r,
+    the shifts m with mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
+    n, N = ctx.n, ctx.N
+    return sum(max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(window, start=1))
+
+
+def minimal_window(ctx: GroupContext, entries) -> tuple[int, ...]:
+    """The window of the minimal representative of the coset whose window
+    holds entries.  Sorting restores balance positionally; in the families
+    with a fork at s_n, exactly one of the two orderings that swap
+    positions n and n+1 satisfies the membership parity: that one."""
+    window = sorted(entries)
+    if ctx.fork_at_n and _cond_n(ctx, window) % 2:
+        n = ctx.n
+        window[n - 1], window[n] = window[n], window[n - 1]
+    return tuple(window)
+
+
 def from_permutation(w: MirroredPermutation) -> Abacus:
     ctx = w.ctx
     levels = [0] * (2 * ctx.n)
@@ -70,9 +132,23 @@ def window_of(ctx: GroupContext, levels) -> tuple[int, ...]:
     return minimal_window(ctx, map(add, map(ctx.N.__mul__, levels), range(1, ctx.N)))
 
 
-def is_even(a: Abacus) -> bool:
-    """Parity of the number of gaps before position N in reading order."""
-    return sum(map(abs, a.levels[: a.ctx.n])) % 2 == 0
+class RootPoint(Record):
+    __slots__ = ("ctx", "coords")
+
+    def __init__(self, ctx: GroupContext, coords: tuple[int, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "coords", coords)
+
+
+def coordinates(a: Abacus) -> RootPoint:
+    return RootPoint(a.ctx, tuple(a.levels[: a.ctx.n]))
+
+
+def from_coordinates(pt: RootPoint) -> Abacus:
+    ctx, coords = pt.ctx, integers(pt.coords)
+    if len(coords) != ctx.n:
+        raise BalanceViolation(f"need {ctx.n} coordinates")
+    return make_abacus(ctx, coords + tuple(-c for c in reversed(coords)))
 
 
 def generator_moves(ctx: GroupContext, g: int) -> tuple[tuple[int, int, int], ...]:

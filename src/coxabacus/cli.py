@@ -6,14 +6,13 @@ from __future__ import annotations
 import sys
 
 from .abacus import Abacus, abacus_from_word, ascent_walk, from_permutation, lower_covers
-from .abacus import make_abacus, to_permutation, window_of
+from .abacus import RootPoint, coordinates, from_base_window, from_coordinates, make_abacus
+from .abacus import to_permutation, window_of
 from .bounded import BoundedPartition, abacus_from_bounded, bounded_after_ascent
 from .bounded import bounded_from_abacus, parse_bounded, word_from_filling
 from .context import Family, GroupContext, make_context, tokens
 from .core import CorePartition, from_abacus, to_abacus
 from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
-from .rootlattice import RootPoint, coordinates, from_coordinates
-from .window import from_base_window
 
 SimpleNamespace = type(sys.implementation)  # as the types module defines it, without importing it
 

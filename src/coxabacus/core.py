@@ -41,30 +41,6 @@ def row_len(rows: tuple[int, ...], i: int) -> int:
     return rows[i - 1] if 1 <= i <= len(rows) else 0
 
 
-def validate_core(lam: CorePartition) -> Abacus:
-    """The abacus of a symmetric 2n-core, even at a fork at s_0.  A partition
-    is one iff abacus_of balances it (a sum of 0 leaves no bead but the beta
-    numbers u_i = rows_i - i) and, at that fork, makes it even.  Only on failure
-    are the u_i checked as one set, in order, to name the first check failed."""
-    ctx, rows, p = lam.ctx, lam.rows, 2 * lam.ctx.n
-    a = abacus_of(lam)
-    partition = not any(map(lt, rows, rows[1:])) and (not rows or rows[-1] > 0)
-    if partition and a.levels == tuple(map(neg, reversed(a.levels))) and (
-            not ctx.fork_at_zero or is_even(a)):
-        return a
-    k = len(rows)
-    beta = list(map(sub, rows, range(1, k + 1)))
-    members = set(beta)
-    # rows that are not a partition differ from their transpose, a partition
-    if row_len(rows, 1) != k or not partition or not members.isdisjoint(map(sub, repeat(-1), beta)):
-        raise NotSymmetric(f"{rows} differs from its transpose")
-    members.update(range(-k - p, -k))  # u_i - 2n reaches no lower
-    if not members.issuperset(map(sub, beta, repeat(p))):
-        i = next(i for i, u in enumerate(beta, start=1) if u - p not in members)
-        raise NotACore(f"row {i} has a hook of length {p}")
-    raise ParityViolation("odd number of main-diagonal boxes")  # all a symmetric core can fail
-
-
 # --- beta numbers <-> abacus ------------------------------------------
 
 def from_abacus(a: Abacus) -> CorePartition:
@@ -96,15 +72,31 @@ def abacus_of(lam: CorePartition) -> Abacus:
 
 
 def to_abacus(lam: CorePartition) -> Abacus:
-    """validate_core, naming first the two checks make_core makes of the rows."""
-    try:
-        return validate_core(lam)
-    except NotSymmetric:  # raised for every sequence that is not a partition
-        if min(lam.rows) <= 0:  # not empty: the empty partition passes
-            raise NotACore("rows must be positive") from None
-        if any(map(lt, lam.rows, lam.rows[1:])):
-            raise NotACore("rows must be weakly decreasing") from None
-        raise
+    """The abacus of a symmetric 2n-core, even at a fork at s_0.  A partition
+    is one iff abacus_of balances it (a sum of 0 leaves no bead but the beta
+    numbers u_i = rows_i - i) and, at that fork, makes it even.  Only on failure
+    are the rows checked, in order, to name the first check failed: positive,
+    weakly decreasing, symmetric (the u_i as one set), hook, parity."""
+    ctx, rows, p = lam.ctx, lam.rows, 2 * lam.ctx.n
+    a = abacus_of(lam)
+    partition = not any(map(lt, rows, rows[1:])) and (not rows or rows[-1] > 0)
+    if partition and a.levels == tuple(map(neg, reversed(a.levels))) and (
+            not ctx.fork_at_zero or is_even(a)):
+        return a
+    if min(rows) <= 0:  # not empty: the empty partition passes
+        raise NotACore("rows must be positive")
+    if not partition:
+        raise NotACore("rows must be weakly decreasing")
+    k = len(rows)
+    beta = list(map(sub, rows, range(1, k + 1)))
+    members = set(beta)
+    if rows[0] != k or not members.isdisjoint(map(sub, repeat(-1), beta)):
+        raise NotSymmetric(f"{rows} differs from its transpose")
+    members.update(range(-k - p, -k))  # u_i - 2n reaches no lower
+    if not members.issuperset(map(sub, beta, repeat(p))):
+        i = next(i for i, u in enumerate(beta, start=1) if u - p not in members)
+        raise NotACore(f"row {i} has a hook of length {p}")
+    raise ParityViolation("odd number of main-diagonal boxes")  # all a symmetric core can fail
 
 
 # --- residues ------------------------------------------------------------

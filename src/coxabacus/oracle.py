@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import ge
 
-from .abacus import Abacus, from_permutation, generator_moves, move_levels, runner_of
+from .abacus import Abacus, MirroredPermutation, RootPoint, _cond_n, from_permutation
+from .abacus import generator_moves, minimal_window, move_levels, runner_of
 from .context import Family, GroupContext, integers
 from .core import CorePartition, abacus_of, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import BadRequest, UnknownGenerator
-from .rootlattice import RootPoint
-from .window import MirroredPermutation, _cond_n, minimal_window
 
 
 def coxeter_matrix(ctx: GroupContext) -> list[list[int]]:
@@ -367,8 +366,8 @@ def diagonal_boxes(lam: CorePartition, d: int) -> int:
 
 
 def validate_core_scan(lam: CorePartition) -> None:
-    """`core.validate_core` by computing the hook of every box: symmetry,
-    no hook divisible by 2n, and diagonal parity in the even families."""
+    """`core.to_abacus`'s core check by computing the hook of every box:
+    symmetry, no hook divisible by 2n, and diagonal parity in the even families."""
     ctx = lam.ctx
     rows = lam.rows
     conj = conjugate(rows)

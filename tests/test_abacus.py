@@ -4,6 +4,7 @@ import coxabacus as cx
 from coxabacus import Family, coxeter_matrix
 from coxabacus.abacus import (
     Abacus,
+    RootPoint,
     apply_generator_abacus,
     ascent_walk,
     from_permutation,
@@ -20,7 +21,6 @@ from coxabacus.errors import BadRequest, BalanceViolation, MalformedText, Parity
 from coxabacus.errors import ZeroResidue
 from coxabacus.oracle import apply_generator_left, bead_at, descent_class, first_gap, gaps_between
 from coxabacus.oracle import generator_value, identity, last_bead, lowest_bead, reflect, size_change
-from coxabacus.rootlattice import RootPoint
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)

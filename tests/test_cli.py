@@ -612,8 +612,8 @@ def test_window_past_the_digit_limit_is_a_typed_error(capsys):
 
 def test_core_source_validates_once(capsys, monkeypatch):
     calls = []
-    validate = core.validate_core
-    monkeypatch.setattr(core, "validate_core", lambda lam: calls.append(lam) or validate(lam))
+    abacus_of = core.abacus_of
+    monkeypatch.setattr(core, "abacus_of", lambda lam: calls.append(lam) or abacus_of(lam))
     code, out, _ = run(
         capsys, "convert", "--family", "CC", "--rank", "3",
         "--from", "core", "--to", "window", "(10,9,6,5,5,3,2,2,2,1)",

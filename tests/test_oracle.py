@@ -179,6 +179,7 @@ sys.path.insert(0, sys.argv[1])
 import coxabacus.cli
 checks = ("dataclasses", "inspect", "coxabacus.oracle")
 report = {"with_cli": [m for m in checks if m in sys.modules]}
+report["package"] = sorted(m for m in sys.modules if m.startswith("coxabacus"))
 import coxabacus
 report["resolved_in"] = coxabacus.length_from_abacus.__module__
 report["oracle_loaded"] = "coxabacus.oracle" in sys.modules
@@ -194,13 +195,18 @@ print(json.dumps(report))
 
 
 def test_the_cli_imports_no_check_code():
-    """A command's import leaves out oracle.py and the dataclasses machinery;
-    the oracle names of the package still resolve, on first use."""
+    """A command's import loads the engine modules and no others, leaving
+    out oracle.py and the dataclasses machinery; the oracle names of the
+    package still resolve, on first use."""
     src = str(pathlib.Path(cx.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(proc.stdout) == {
         "with_cli": [],
+        "package": [
+            "coxabacus", "coxabacus.abacus", "coxabacus.bounded", "coxabacus.cli",
+            "coxabacus.context", "coxabacus.core", "coxabacus.errors",
+        ],
         "resolved_in": "coxabacus.oracle",
         "oracle_loaded": True,
         "unbound": [],

@@ -130,15 +130,18 @@ def test_peel_trace_counts_steps():
 
 def _assert_trace_is_the_peel(lam):
     """The trace's letters are central peeling's, and frame k draws the
-    core of the word's suffix from letter k on."""
+    core of the word's suffix from letter k on: the suffixes are built right
+    to left from the identity, one letter each."""
     letters, _ = central_peel(lam)
     trace = render_peel_trace(cx.to_abacus(lam))
     assert re.findall(r"^step \d+: remove residue (\d+)$", trace, re.M) == list(map(str, letters))
     frames = trace.split("\nstep ")
     assert len(frames) == len(letters) + 1
-    for k, frame in enumerate(frames):
-        core = cx.from_abacus(cx.abacus_from_word(lam.ctx, letters[k:]))
-        assert frame.endswith(render.render_core_text(core))
+    suffixes = [cx.identity_abacus(lam.ctx)]
+    for g in reversed(letters):
+        suffixes.append(cx.apply_generator_abacus(suffixes[-1], g))
+    for frame, a in zip(frames, reversed(suffixes)):
+        assert frame.endswith(render.render_core_text(cx.from_abacus(a)))
 
 
 def test_peel_trace_frames_are_word_suffixes(tables, monkeypatch):

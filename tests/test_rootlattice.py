@@ -4,7 +4,7 @@ import coxabacus as cx
 from coxabacus import Family
 from coxabacus.errors import ParityViolation
 from coxabacus.oracle import reflect
-from coxabacus.rootlattice import RootPoint, coordinates, from_coordinates
+from coxabacus.abacus import RootPoint, coordinates, from_coordinates
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)

@@ -18,7 +18,7 @@ from coxabacus.oracle import (
     is_minimal_coset_rep,
     normalize,
 )
-from coxabacus.window import _cond_n, from_base_window
+from coxabacus.abacus import _cond_n, from_base_window
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)
