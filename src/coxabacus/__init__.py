@@ -19,17 +19,21 @@ from .abacus import (
     make_abacus,
     to_permutation,
 )
-from .bounded import (
+from .context import Family, GroupContext, make_context
+from .core import (
     BoundedPartition,
+    CorePartition,
     abacus_from_bounded,
     bounded_from_abacus,
+    from_abacus,
     make_bounded,
+    make_core,
     parse_bounded,
+    residue,
     residue_filling,
+    to_abacus,
     word_from_filling,
 )
-from .context import Family, GroupContext, make_context
-from .core import CorePartition, from_abacus, make_core, residue, to_abacus
 from .errors import CoxabacusError
 
 __all__ = [

@@ -16,8 +16,6 @@ first n runners; the generator action on it is an integral (affine)
 reflection action on Z^n, written out by hand in `oracle.reflect`.
 """
 
-from __future__ import annotations
-
 from operator import add
 
 from .context import GroupContext, Record, integers

@@ -1,17 +1,14 @@
 """Command line interface: conversion between the six representations,
 enumeration, rendering, and Bruhat poset export."""
 
-from __future__ import annotations
-
 import sys
 
 from .abacus import Abacus, abacus_from_word, ascent_walk, from_permutation, lower_covers
 from .abacus import RootPoint, coordinates, from_base_window, from_coordinates, make_abacus
 from .abacus import to_permutation, window_of
-from .bounded import BoundedPartition, abacus_from_bounded, bounded_after_ascent
-from .bounded import bounded_from_abacus, parse_bounded, word_from_filling
 from .context import Family, GroupContext, make_context, tokens
-from .core import CorePartition, from_abacus, to_abacus
+from .core import BoundedPartition, CorePartition, abacus_from_bounded, bounded_after_ascent
+from .core import bounded_from_abacus, from_abacus, parse_bounded, to_abacus, word_from_filling
 from .errors import BadRequest, CoxabacusError, MalformedText, NotMinimal, UnknownGenerator
 
 SimpleNamespace = type(sys.implementation)  # as the types module defines it, without importing it
@@ -95,7 +92,7 @@ def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argparse parser of `COMMANDS`, for the argv that `_plain_args`
     declines: help, usage errors and the forms it leaves out.  Built on each
     such call, which a console command makes at most once."""
@@ -187,7 +184,7 @@ def _layers(ctx: GroupContext, walk: list[dict]) -> list[list[tuple]]:
 
 def poset_dot(ctx: GroupContext, max_len: int) -> str:
     """Covers join adjacent length layers; `abacus.lower_covers` reads each
-    element's covers, and `bounded.bounded_after_ascent` its label, off
+    element's covers, and `core.bounded_after_ascent` its label, off
     those of the element the walk found it from."""
     walk = ascent_walk(ctx, max_len)
     labels = dict.fromkeys(walk[0], BoundedPartition(ctx, ()))

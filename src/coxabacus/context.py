@@ -6,8 +6,6 @@ which flavor the end generators s_0 and s_n take, and the bookkeeping
 offsets used by the bounded-partition and length computations.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter, index
 
 from .errors import BadRequest, MalformedText, RankTooSmall

@@ -15,8 +15,6 @@ row d, d the number of boxes on the family's reference diagonal, until
 the core is empty: the letters form the canonical word and the recorded
 boxes its upper diagram."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from operator import ge
 

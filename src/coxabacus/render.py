@@ -1,11 +1,9 @@
 """Text and SVG renderings of abaci, cores, bounded partitions, and
 peeling traces.  Output is deterministic: same input, same bytes."""
 
-from __future__ import annotations
-
 from .abacus import Abacus, generator_moves, move_levels
-from .bounded import BoundedPartition, bounded_from_abacus, residue_filling, word_from_filling
-from .core import CorePartition, from_abacus, residue_set
+from .core import BoundedPartition, CorePartition, bounded_from_abacus, from_abacus, residue_set
+from .core import residue_filling, word_from_filling
 from .errors import UnrenderableCombination
 
 EMPTY = "(empty diagram)\n"

@@ -8,7 +8,7 @@ import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import Abacus, abacus_from_word, ascent_walk, generator_moves, move_levels
 from coxabacus.abacus import rise
-from coxabacus.bounded import (
+from coxabacus.core import (
     abacus_from_bounded,
     bounded_after_ascent,
     bounded_from_abacus,
@@ -181,7 +181,7 @@ def test_abacus_from_bounded_fetches_no_move_table(monkeypatch):
         return generator_moves(ctx, g)
 
     monkeypatch.setattr("coxabacus.abacus.generator_moves", counted)
-    monkeypatch.setattr("coxabacus.bounded.generator_moves", counted, raising=False)
+    monkeypatch.setattr("coxabacus.core.generator_moves", counted, raising=False)
     assert abacus_from_bounded(beta) == walked == a
     assert fetched == []
 

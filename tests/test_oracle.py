@@ -177,7 +177,7 @@ FOOTPRINT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import coxabacus.cli
-checks = ("dataclasses", "inspect", "coxabacus.oracle")
+checks = ("__future__", "dataclasses", "inspect", "coxabacus.oracle")
 report = {"with_cli": [m for m in checks if m in sys.modules]}
 report["package"] = sorted(m for m in sys.modules if m.startswith("coxabacus"))
 import coxabacus
@@ -204,8 +204,8 @@ def test_the_cli_imports_no_check_code():
     assert json.loads(proc.stdout) == {
         "with_cli": [],
         "package": [
-            "coxabacus", "coxabacus.abacus", "coxabacus.bounded", "coxabacus.cli",
-            "coxabacus.context", "coxabacus.core", "coxabacus.errors",
+            "coxabacus", "coxabacus.abacus", "coxabacus.cli", "coxabacus.context",
+            "coxabacus.core", "coxabacus.errors",
         ],
         "resolved_in": "coxabacus.oracle",
         "oracle_loaded": True,

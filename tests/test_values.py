@@ -8,9 +8,8 @@ import pytest
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import Abacus, MirroredPermutation, RootPoint
-from coxabacus.bounded import BoundedPartition
 from coxabacus.context import GroupContext, Record
-from coxabacus.core import CorePartition
+from coxabacus.core import BoundedPartition, CorePartition
 
 BD3 = cx.make_context(Family.B_OVER_D, 3)
 CTX_REPR = "GroupContext(family=<Family.B_OVER_D: 'B~/D'>, n=3)"
