@@ -15,12 +15,11 @@ row d, d the number of boxes on the family's reference diagonal, until
 the core is empty: the letters form the canonical word and the recorded
 boxes its upper diagram."""
 
-from dataclasses import dataclass, field
 from operator import ge
 
 from .abacus import Abacus, MirroredPermutation, RootPoint, _cond_n, from_permutation
 from .abacus import generator_moves, minimal_window, move_levels, runner_of
-from .context import Family, GroupContext, integers
+from .context import Family, GroupContext, Record, integers
 from .core import CorePartition, abacus_of, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
 from .errors import BadRequest, UnknownGenerator
@@ -96,13 +95,15 @@ def normalize(w: MirroredPermutation) -> MirroredPermutation:
     return MirroredPermutation(w.ctx, minimal_window(w.ctx, w.window))
 
 
-@dataclass
-class QuotientTable:
-    ctx: GroupContext
-    max_len: int
-    lengths: dict[tuple, int]
-    by_length: list[list[MirroredPermutation]]
-    _bruhat_memo: dict = field(default_factory=dict, repr=False)
+class QuotientTable(Record, fields=("ctx", "max_len", "lengths", "by_length")):
+    """The BFS layers to max_len and each window's length: unhashable, as its dicts
+    are; the lifting test's memo is no field, and a copy starts with an empty one."""
+
+    __slots__ = ("ctx", "max_len", "lengths", "by_length", "_bruhat_memo")
+    __hash__ = None
+
+    def __init__(self, ctx: GroupContext, max_len: int, lengths: dict, by_length: list):
+        super().__init__(ctx, max_len, lengths, by_length, {})
 
     def length(self, w: MirroredPermutation) -> int:
         try:

@@ -176,13 +176,15 @@ def test_production_modules_do_not_import_the_checks(module):
 FOOTPRINT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+import coxabacus
+report = {"bare": sorted(m for m in sys.modules if m.startswith("coxabacus"))}
 import coxabacus.cli
 checks = ("__future__", "dataclasses", "inspect", "coxabacus.oracle")
-report = {"with_cli": [m for m in checks if m in sys.modules]}
+report["with_cli"] = [m for m in checks if m in sys.modules]
 report["package"] = sorted(m for m in sys.modules if m.startswith("coxabacus"))
-import coxabacus
 report["resolved_in"] = coxabacus.length_from_abacus.__module__
 report["oracle_loaded"] = "coxabacus.oracle" in sys.modules
+report["with_oracle"] = [m for m in checks if m in sys.modules]
 names = {}
 exec("from coxabacus import *", names)
 report["unbound"] = sorted(set(coxabacus.__all__) - set(names))
@@ -195,13 +197,15 @@ print(json.dumps(report))
 
 
 def test_the_cli_imports_no_check_code():
-    """A command's import loads the engine modules and no others, leaving
-    out oracle.py and the dataclasses machinery; the oracle names of the
-    package still resolve, on first use."""
+    """The package root alone loads no submodule, and a command's import
+    loads the engine modules and no others, leaving out oracle.py and the
+    dataclasses machinery; the oracle names of the package still resolve,
+    on first use, and load oracle.py without dataclasses."""
     src = str(pathlib.Path(cx.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(proc.stdout) == {
+        "bare": ["coxabacus"],
         "with_cli": [],
         "package": [
             "coxabacus", "coxabacus.abacus", "coxabacus.cli", "coxabacus.context",
@@ -209,9 +213,18 @@ def test_the_cli_imports_no_check_code():
         ],
         "resolved_in": "coxabacus.oracle",
         "oracle_loaded": True,
+        "with_oracle": ["coxabacus.oracle"],
         "unbound": [],
         "unknown": "module 'coxabacus' has no attribute 'no_such_name'",
     }
+
+
+def test_each_public_name_comes_from_its_home_module():
+    """The package root's table names the module that defines each public
+    name, and dir() of the package lists every one of them."""
+    homes = {name: getattr(cx, name).__module__ for name in cx.__all__}
+    assert homes == {name: f"coxabacus.{module}" for name, module in cx._HOME.items()}
+    assert set(cx.__all__) <= set(dir(cx))
 
 
 def test_the_oracle_imports_only_names_the_engine_runs():

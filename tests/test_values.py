@@ -1,5 +1,6 @@
 """Value semantics of the six model classes: frozen records that compare,
-hash and show their fields, equal only to the same class, and pickle."""
+hash and show their fields, equal only to the same class, and pickle.  The
+oracle's QuotientTable is a record too, but holds dicts and is unhashable."""
 
 import pickle
 
@@ -10,6 +11,7 @@ from coxabacus import Family
 from coxabacus.abacus import Abacus, MirroredPermutation, RootPoint
 from coxabacus.context import GroupContext, Record
 from coxabacus.core import BoundedPartition, CorePartition
+from coxabacus.oracle import QuotientTable, bruhat_leq_lifting, enumerate_quotient
 
 BD3 = cx.make_context(Family.B_OVER_D, 3)
 CTX_REPR = "GroupContext(family=<Family.B_OVER_D: 'B~/D'>, n=3)"
@@ -116,3 +118,45 @@ def test_a_one_field_record_shows_pickles_and_hashes_its_field(x):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(one, protocol))
         assert type(back) is One and back == one and back.x == x and repr(back) == repr(one)
+
+
+C2 = cx.make_context(Family.C_OVER_C, 2)
+C2_REPR = "GroupContext(family=<Family.C_OVER_C: 'C~/C'>, n=2)"
+# the text the table showed as a dataclass: its four fields, not the memo
+TABLE_REPR = (
+    f"QuotientTable(ctx={C2_REPR}, max_len=1, lengths={{(1, 2, 3, 4): 0, (-1, 2, 3, 6): 1}}, "
+    f"by_length=[[MirroredPermutation(ctx={C2_REPR}, window=(1, 2, 3, 4))], "
+    f"[MirroredPermutation(ctx={C2_REPR}, window=(-1, 2, 3, 6))]])"
+)
+
+
+def test_a_quotient_table_shows_its_fields_and_is_unhashable():
+    table = enumerate_quotient(C2, 1)
+    assert repr(table) == TABLE_REPR
+    with pytest.raises(TypeError):
+        hash(table)
+
+
+def test_a_quotient_table_compares_and_pickles_without_its_memo():
+    table = enumerate_quotient(C2, 1)
+    e, s0 = table.by_length[0][0], table.by_length[1][0]
+    assert bruhat_leq_lifting(table, e, s0) and table._bruhat_memo
+    fresh = enumerate_quotient(C2, 1)
+    assert fresh._bruhat_memo == {} and fresh == table and fresh != enumerate_quotient(C2, 2)
+    assert fresh != (C2, 1, table.lengths, table.by_length)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(table, protocol))
+        assert type(back) is QuotientTable and back == table and repr(back) == TABLE_REPR
+        assert back._bruhat_memo == {}
+
+
+def test_a_quotient_table_has_read_only_fields():
+    table = enumerate_quotient(C2, 1)
+    for name in ("ctx", "max_len", "lengths", "by_length", "_bruhat_memo"):
+        before = getattr(table, name)
+        with pytest.raises(AttributeError):
+            setattr(table, name, before)
+        with pytest.raises(AttributeError):
+            delattr(table, name)
+        assert getattr(table, name) is before
+    assert repr(table) == TABLE_REPR
