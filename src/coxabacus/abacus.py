@@ -11,12 +11,12 @@ A mirrored permutation w is a bijection of Z with w(k+N) = w(k)+N and
 w(-k) = -w(k); it is determined by the window [w(1),...,w(2n)], whose
 entries are level * N + runner.  Elements of the quotient are represented
 by the unique window satisfying the family's sorting condition, which
-minimal_window finds from any ordering.  A root point is the levels of the
+window_of reads off the level vector.  A root point is the levels of the
 first n runners; the generator action on it is an integral (affine)
 reflection action on Z^n, written out by hand in `oracle.reflect`.
 """
 
-from operator import add
+from operator import add, neg
 
 from .context import GroupContext, Record, integers
 from .errors import BadRequest, BalanceViolation, NotACore, ParityViolation, ResidueClash
@@ -47,10 +47,7 @@ def make_abacus(ctx: GroupContext, levels) -> Abacus:
             raise BalanceViolation(
                 f"levels of runners {i} and {ctx.N - i} do not cancel"
             )
-    a = Abacus(ctx, levels)
-    if ctx.fork_at_zero and not is_even(a):
-        raise ParityViolation("abacus is not even")
-    return a
+    return even_at_fork(Abacus(ctx, levels))
 
 
 def identity_abacus(ctx: GroupContext) -> Abacus:
@@ -60,6 +57,13 @@ def identity_abacus(ctx: GroupContext) -> Abacus:
 def is_even(a: Abacus) -> bool:
     """Parity of the number of gaps before position N in reading order."""
     return sum(map(abs, a.levels[: a.ctx.n])) % 2 == 0
+
+
+def even_at_fork(a: Abacus) -> Abacus:
+    """a, which a fork at s_0 requires to be even."""
+    if a.ctx.fork_at_zero and not is_even(a):
+        raise ParityViolation("abacus is not even")
+    return a
 
 
 class MirroredPermutation(Record):
@@ -91,25 +95,6 @@ def from_base_window(ctx: GroupContext, entries) -> MirroredPermutation:
     return MirroredPermutation(ctx, entries)
 
 
-def _cond_n(ctx: GroupContext, window) -> int:
-    """|{i <= n : w(i) >= n+1}| for the window of w: per window position r,
-    the shifts m with mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
-    n, N = ctx.n, ctx.N
-    return sum(max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(window, start=1))
-
-
-def minimal_window(ctx: GroupContext, entries) -> tuple[int, ...]:
-    """The window of the minimal representative of the coset whose window
-    holds entries.  Sorting restores balance positionally; in the families
-    with a fork at s_n, exactly one of the two orderings that swap
-    positions n and n+1 satisfies the membership parity: that one."""
-    window = sorted(entries)
-    if ctx.fork_at_n and _cond_n(ctx, window) % 2:
-        n = ctx.n
-        window[n - 1], window[n] = window[n], window[n - 1]
-    return tuple(window)
-
-
 def from_permutation(w: MirroredPermutation) -> Abacus:
     ctx = w.ctx
     levels = [0] * (2 * ctx.n)
@@ -119,15 +104,17 @@ def from_permutation(w: MirroredPermutation) -> Abacus:
 
 
 def to_permutation(a: Abacus) -> MirroredPermutation:
-    ctx = a.ctx
-    if ctx.fork_at_zero and not is_even(a):
-        raise ParityViolation("abacus is not even")
-    return MirroredPermutation(ctx, window_of(ctx, a.levels))
+    return MirroredPermutation(a.ctx, window_of(a.ctx, even_at_fork(a).levels))
 
 
 def window_of(ctx: GroupContext, levels) -> tuple[int, ...]:
-    """The minimal window of the level vector, whose window entries are level * N + runner."""
-    return minimal_window(ctx, map(add, map(ctx.N.__mul__, levels), range(1, ctx.N)))
+    """The minimal window of the level vector, of entries level * N + runner:
+    sorted, which restores balance positionally, and at a fork at s_n with
+    positions n, n+1 swapped iff the first n runners' |level| + [level > 0] sum to odd."""
+    window, n = sorted(map(add, map(ctx.N.__mul__, levels), range(1, ctx.N))), ctx.n
+    if ctx.fork_at_n and (sum(map(abs, levels[:n])) + sum(map((0).__lt__, levels[:n]))) % 2:
+        window[n - 1], window[n] = window[n], window[n - 1]
+    return tuple(window)
 
 
 class RootPoint(Record):
@@ -146,7 +133,7 @@ def from_coordinates(pt: RootPoint) -> Abacus:
     ctx, coords = pt.ctx, integers(pt.coords)
     if len(coords) != ctx.n:
         raise BalanceViolation(f"need {ctx.n} coordinates")
-    return make_abacus(ctx, coords + tuple(-c for c in reversed(coords)))
+    return even_at_fork(Abacus(ctx, coords + tuple(map(neg, reversed(coords)))))
 
 
 def generator_moves(ctx: GroupContext, g: int) -> tuple[tuple[int, int, int], ...]:
@@ -195,14 +182,17 @@ def apply_generator_abacus(a: Abacus, g: int) -> Abacus:
 
 
 def abacus_from_word(ctx: GroupContext, letters) -> Abacus:
-    """The abacus of a word: its letters act on the identity right to left."""
-    n, tables = ctx.n, [generator_moves(ctx, g) for g in ctx.generators()]
-    levels = identity_abacus(ctx).levels
-    for r in reversed(integers(letters)):
-        if not 0 <= r <= n:
-            raise UnknownGenerator(f"no generator s{r} at rank {n}")
-        levels = move_levels(levels, tables[r])
-    return Abacus(ctx, levels)
+    """The abacus of a word: its letters act on the identity right to left,
+    in place on levels[r] for runner r.  Each letter's moves, fetched when it
+    first comes, are four (two moves twice over) set in one assignment."""
+    tables, levels = {}, [0] * ctx.N
+    for g in reversed(integers(letters)):
+        if g not in tables:  # generator_moves raises UnknownGenerator past s_n
+            tables[g] = (generator_moves(ctx, g) * 2)[:4]
+        (r1, m1, s1), (r2, m2, s2), (r3, m3, s3), (r4, m4, s4) = tables[g]
+        levels[s1], levels[s2], levels[s3], levels[s4] = (
+            levels[r1] + m1, levels[r2] + m2, levels[r3] + m3, levels[r4] + m4)
+    return Abacus(ctx, tuple(levels[1:]))
 
 
 def ascent_walk(ctx: GroupContext, max_len: int) -> list[dict]:

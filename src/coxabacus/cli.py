@@ -17,6 +17,9 @@ REPRESENTATIONS = ("window", "levels", "core", "bounded", "word", "root")
 
 FAMILY_ALIASES = {name: f for f in Family for name in (f.value, f.alias)}
 
+LETTERS = {f"s{g}": g for g in range(10)}  # the usual spellings, read and written by lookup
+NAMES = {g: name for name, g in LETTERS.items()}
+
 
 def _ints(text: str) -> list[int]:
     try:
@@ -27,13 +30,13 @@ def _ints(text: str) -> list[int]:
 
 def _letters(text: str) -> list[int]:
     try:
-        return [int(t.removeprefix("s")) for t in tokens(text)]
+        return [LETTERS[t] if t in LETTERS else int(t.removeprefix("s")) for t in tokens(text)]
     except ValueError:
         raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
 
 
 def render_word(letters) -> str:
-    return " ".join(f"s{r}" for r in letters)
+    return " ".join([NAMES.get(r) or f"s{r}" for r in letters])
 
 
 def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
@@ -90,6 +93,26 @@ def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
         "bounded": str(beta),
         "word": word_from_filling(beta),
     }
+
+
+SIZE_LIMIT = 10**6  # rows, parts or letters of a view, cells of a drawing
+
+
+def _within_limit(a: Abacus, view: str) -> Abacus:
+    """a, unless its view or drawing may pass SIZE_LIMIT, by bounds off the
+    levels in O(n): a core row per bead above the first gap (at most 2n * top,
+    as levels sum to 0), a part per bead past N, 2n + x0 + xn letters a part."""
+    if view in ("window", "levels", "root"):  # no larger than the levels
+        return a
+    ctx, top = a.ctx, max(a.levels)
+    rows, parts = 2 * ctx.n * top, sum(map(abs, a.levels)) // 2
+    letters = parts * (2 * ctx.n + ctx.x0 + ctx.xn)
+    size = {"core": rows, "bounded": parts, "word": letters, "core drawing": rows * rows,
+            "abacus drawing": 2 * rows + 6 * ctx.n, "bounded drawing": letters,
+            "peel-trace drawing": (letters + 1) * rows * rows}[view]
+    if size > SIZE_LIMIT:
+        raise BadRequest(f"the {view} may pass the size limit of {SIZE_LIMIT}: bound {size}")
+    return a
 
 
 def build_parser():
@@ -149,7 +172,8 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 def cmd_convert(ctx: GroupContext, args) -> str:
-    return format_element(parse_element(ctx, args.source, args.value), args.target)
+    return format_element(_within_limit(parse_element(ctx, args.source, args.value), args.target),
+                          args.target)
 
 
 def cmd_enumerate(ctx: GroupContext, args) -> str:
@@ -164,7 +188,7 @@ def cmd_enumerate(ctx: GroupContext, args) -> str:
 
 def cmd_render(ctx: GroupContext, args) -> str:
     from . import render  # here, not at the top: only this command draws
-    a = parse_element(ctx, args.source, args.value)
+    a = _within_limit(parse_element(ctx, args.source, args.value), f"{args.what} drawing")
     text = args.format == "text"
     if args.what == "abacus":
         return (render.render_abacus_text if text else render.render_abacus_svg)(a)

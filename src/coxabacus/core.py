@@ -177,9 +177,7 @@ class BoundedPartition(Record):
         object.__setattr__(self, "star", star)  # 0-based index of the starred part
 
     def __str__(self) -> str:
-        items = [
-            f"{p}*" if i == self.star else str(p) for i, p in enumerate(self.parts)
-        ]
+        items = [f"{p}*" if i == self.star else str(p) for i, p in enumerate(self.parts)]
         return "(" + ",".join(items) + ")"
 
 
@@ -232,25 +230,40 @@ def make_bounded(ctx: GroupContext, parts, star=None) -> BoundedPartition:
 
 def bounded_from_abacus(a: Abacus) -> BoundedPartition:
     """One part per bead mN+r past N, read from the last bead back.  Past
-    N+n the part is 1 + x0 + xn plus the gaps among the N positions before
-    the bead: runners s < r below level m (before) and runners s > r below
-    m-1 (after), both kept as running counts down the runners."""
+    N+n the part is c = 1 + x0 + xn plus the gaps among the N positions
+    before the bead: runners s < r below level m and s > r below m-1.  At
+    m > 1 those are the `under` runners below m-1 and the `at` runners
+    s < r at m-1, so a level with none at m-1 is one run of equal parts."""
     ctx = a.ctx
-    n, levels = ctx.n, a.levels
-    parts, star = [], None
-    for m in range(max(levels), 0, -1):
-        before, after = sum(map(m.__gt__, levels)), 1 + ctx.x0 + ctx.xn
-        for r in range(2 * n, 0, -1):
-            level = levels[r - 1]
-            if level < m:
-                before -= 1
-                after += level < m - 1
-            elif m > 1 or r > n:
-                parts.append(before + after)
-            elif r + ctx.x0 > 0:  # the parity bead at N+1 carries no boxes
-                parts.append(r + ctx.x0)
-                if r == n and ctx.fork_at_n:
-                    star = len(parts) - 1
+    n, levels, c = ctx.n, a.levels, 1 + ctx.x0 + ctx.xn
+    ordered, parts, star = sorted(levels), [], None
+    below = ordered.index(ordered[-1])  # runners below level m
+    for m in range(ordered[-1], 1, -1):
+        under = below
+        while ordered[under - 1] == m - 1:  # some runner is below 1: balance
+            under -= 1
+        if under == below:
+            parts += [c + under] * (2 * n - below)
+            continue
+        at = below - under  # runners at m-1 left of r, as r falls
+        for level in reversed(levels):
+            if level >= m:
+                parts.append(c + under + at)
+            else:
+                at -= level == m - 1
+        below = under
+    before, after = below, c  # below 1, once a runner reaches level 1
+    for r in range(2 * n, 0, -1):
+        level = levels[r - 1]
+        if level < 1:
+            before -= 1
+            after += level < 0
+        elif r > n:
+            parts.append(before + after)
+        elif r + ctx.x0 > 0:  # the parity bead at N+1 carries no boxes
+            parts.append(r + ctx.x0)
+            if r == n and ctx.fork_at_n:
+                star = len(parts) - 1
     return BoundedPartition(ctx, tuple(parts), star)  # the last part of its size
 
 
@@ -341,8 +354,5 @@ def residue_filling(beta: BoundedPartition) -> list[list[int]]:
 
 
 def word_from_filling(beta: BoundedPartition) -> list[int]:
-    grid = residue_filling(beta)
-    out: list[int] = []
-    for row in reversed(grid):
-        out.extend(reversed(row))
-    return out
+    """The filling read right to left along each row, from the last row up."""
+    return list(chain.from_iterable(map(reversed, reversed(residue_filling(beta)))))

@@ -17,8 +17,8 @@ boxes its upper diagram."""
 
 from operator import ge
 
-from .abacus import Abacus, MirroredPermutation, RootPoint, _cond_n, from_permutation
-from .abacus import generator_moves, minimal_window, move_levels, runner_of
+from .abacus import Abacus, MirroredPermutation, RootPoint, from_permutation
+from .abacus import generator_moves, move_levels, runner_of
 from .context import Family, GroupContext, Record, integers
 from .core import CorePartition, abacus_of, from_abacus, residue_set, row_len
 from .errors import NotACore, NotEnumerated, NotMinimal, NotSymmetric, ParityViolation, StuckPeel
@@ -88,6 +88,25 @@ def apply_generator_left(w: MirroredPermutation, g: int) -> MirroredPermutation:
 
 def identity(ctx: GroupContext) -> MirroredPermutation:
     return MirroredPermutation(ctx, tuple(range(1, 2 * ctx.n + 1)))
+
+
+def _cond_n(ctx: GroupContext, window) -> int:
+    """|{i <= n : w(i) >= n+1}| for the window of w: per window position r,
+    the shifts m with mN + r <= n and mN + w(r) >= n+1, counted in closed form."""
+    n, N = ctx.n, ctx.N
+    return sum(max(0, (e - n - 1) // N + (r <= n)) for r, e in enumerate(window, start=1))
+
+
+def minimal_window(ctx: GroupContext, entries) -> tuple[int, ...]:
+    """The window of the minimal representative of the coset whose window
+    holds entries.  Sorting restores balance positionally; in the families
+    with a fork at s_n, exactly one of the two orderings that swap
+    positions n and n+1 satisfies the membership parity: that one."""
+    window = sorted(entries)
+    if ctx.fork_at_n and _cond_n(ctx, window) % 2:
+        n = ctx.n
+        window[n - 1], window[n] = window[n], window[n - 1]
+    return tuple(window)
 
 
 def normalize(w: MirroredPermutation) -> MirroredPermutation:

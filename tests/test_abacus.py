@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 import coxabacus as cx
@@ -20,7 +23,8 @@ from coxabacus.abacus import (
 from coxabacus.errors import BadRequest, BalanceViolation, MalformedText, ParityViolation, UnknownGenerator
 from coxabacus.errors import ZeroResidue
 from coxabacus.oracle import apply_generator_left, bead_at, descent_class, first_gap, gaps_between
-from coxabacus.oracle import generator_value, identity, last_bead, lowest_bead, reflect, size_change
+from coxabacus.oracle import generator_value, identity, last_bead, lowest_bead, minimal_window, reflect
+from coxabacus.oracle import size_change
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 B3 = cx.make_context(Family.B_OVER_B, 3)
@@ -211,11 +215,63 @@ def test_abacus_from_word_reads_its_letters_as_integers(letters):
 
 
 def test_window_of_is_the_minimal_window(tables):
-    # every element's own window, from its level vector alone
+    # every element's own window, from its level vector alone, and the
+    # oracle's sort with its position-parity rule from the window reversed
     for (fam, n), table in tables.items():
         ctx = cx.make_context(fam, n)
         for w in table.elements():
             assert window_of(ctx, from_permutation(w).levels) == w.window
+            assert minimal_window(ctx, reversed(w.window)) == w.window
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_window_of_is_the_oracles_minimal_window_on_random_levels(family):
+    # the fork parity read off the levels agrees with the oracle's count
+    # on the sorted window, on balanced vectors odd or even, near 0 or far
+    rng = random.Random(f"window/{family.value}")
+    for n in range(family.min_rank, 13):
+        ctx = cx.make_context(family, n)
+        for _ in range(150):
+            top = rng.choice((1, 2, 5, 60))
+            half = [rng.randint(-top, top) for _ in range(n)]
+            levels = (*half, *(-level for level in reversed(half)))
+            entries = [ctx.N * level + r for r, level in enumerate(levels, start=1)]
+            rng.shuffle(entries)
+            assert window_of(ctx, levels) == minimal_window(ctx, entries), levels
+
+
+def _fold(ctx, word):
+    """The word's action on the identity window, letter by letter from the
+    right, by the oracle's value-by-value action: no move table."""
+    w = identity(ctx)
+    for g in reversed(word):
+        w = apply_generator_left(w, g)
+    return w
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_abacus_from_word_is_the_fold_of_the_window_action(family):
+    # random words, reduced or not, at every rank to 12; a word with bad
+    # letters names the first bad one from the right, whatever its others
+    rng = random.Random(f"fold/{family.value}")
+    for n in range(family.min_rank, 13):
+        ctx = cx.make_context(family, n)
+        for length in (0, 1, 2, 3, 7, 20, 61, 200):
+            word = [rng.randint(0, n) for _ in range(length)]
+            assert cx.abacus_from_word(ctx, word) == from_permutation(_fold(ctx, word))
+            bad = [rng.choice((-1, -5, n + 1, n + 7, 10**6)) for _ in range(2)]
+            marred = word[:]
+            for b in bad:
+                marred.insert(rng.randint(0, len(marred)), b)
+            rightmost = next(g for g in reversed(marred) if not 0 <= g <= n)
+            with pytest.raises(UnknownGenerator, match=f"^{re.escape(f'no generator s{rightmost} at rank {n}')}$"):
+                cx.abacus_from_word(ctx, marred)
+
+
+def test_abacus_from_word_reads_every_letter_before_the_first_move():
+    # a non-integer anywhere wins over an out-of-range letter to its right
+    with pytest.raises(MalformedText, match="not an integer: 'x'"):
+        cx.abacus_from_word(C3, ["x", 1, 9])
 
 
 @pytest.mark.parametrize("bad", [1.0, "1", None])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import coxabacus as cx
 from coxabacus import Family
 from coxabacus.abacus import Abacus, abacus_from_word, ascent_walk, generator_moves, move_levels
-from coxabacus.abacus import rise
+from coxabacus.abacus import from_permutation, rise
 from coxabacus.core import (
     abacus_from_bounded,
     bounded_after_ascent,
@@ -19,7 +19,8 @@ from coxabacus.core import (
     word_from_filling,
 )
 from coxabacus.errors import MalformedBounded
-from coxabacus.oracle import apply_generator_left, identity, length_from_window, normalize, size_change
+from coxabacus.oracle import apply_generator_left, bead_at, gaps_between, identity, last_bead
+from coxabacus.oracle import length_from_window, normalize, size_change
 from conftest import BENCH_CASES, STANDARD_CASES, long_element
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
@@ -157,6 +158,46 @@ def test_row_maps_walk_the_filling_word():
                 beta = bounded_from_abacus(a)
                 walked = abacus_from_word(ctx, word_from_filling(beta))
                 assert abacus_from_bounded(beta) == walked == a
+
+
+def bounded_by_beads(a):
+    """The parts and star of bounded_from_abacus, bead by bead from the last
+    one back, on the oracle's gap count: a bead v past N+n gives
+    1 + x0 + xn plus the gaps among the N positions before it, and a bead
+    N+r with r <= n gives r + x0 if positive, starred at r = n at a fork at s_n."""
+    ctx, parts, star = a.ctx, [], None
+    for v in range(last_bead(a), ctx.N, -1):
+        if v % ctx.N and bead_at(a, v):
+            if v > ctx.N + ctx.n:
+                parts.append(1 + ctx.x0 + ctx.xn + gaps_between(a, v - ctx.N, v))
+            elif v - ctx.N + ctx.x0 > 0:
+                parts.append(v - ctx.N + ctx.x0)
+                if v - ctx.N == ctx.n and ctx.fork_at_n:
+                    star = len(parts) - 1
+    return tuple(parts), star
+
+
+def test_bounded_from_abacus_counts_each_beads_gaps(tables):
+    # every table element, and random elements of length 10 to about 10^3 at
+    # every rank to 12, in runs of equal parts and of stopping runners alike
+    elements = [from_permutation(w) for table in tables.values() for w in table.elements()]
+    rng = random.Random(1105)
+    for fam in Family:
+        for n in range(fam.min_rank, 13):
+            ctx = cx.make_context(fam, n)
+            for length in (10, 100, 1000):
+                direction = [2 * rng.randint(-2, 2) for _ in range(n)]  # even, so any scale is
+                direction[rng.randrange(n)] = rng.choice((-2, 2))  # and not 0
+                for scale in range(1, length):
+                    point = tuple(scale * c for c in direction)
+                    a = cx.from_coordinates(cx.RootPoint(ctx, point))
+                    if sum(bounded_from_abacus(a).parts) >= length:
+                        break
+                elements.append(a)
+    assert max(sum(bounded_from_abacus(a).parts) for a in elements) >= 1000
+    for a in elements:
+        beta = bounded_from_abacus(a)
+        assert (beta.parts, beta.star) == bounded_by_beads(a), a
 
 
 def test_row_maps_at_a_wide_rank():

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -384,6 +385,45 @@ def test_word_source_rejects_unknown_generator(word):
         parse_element(make_context(Family.C_OVER_C, 3), "word", word)
 
 
+def _letters_by_digits(text):
+    """The letters of a word text read by int() alone, with no name table."""
+    try:
+        return [int(t.removeprefix("s")) for t in cx.context.tokens(text)]
+    except ValueError:
+        raise UnknownGenerator(f"not a word in s0, s1, ...: {text!r}") from None
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except CoxabacusError as exc:
+        return type(exc), str(exc)
+
+
+# every word text that the tests of this module send, and letters past s9
+WORD_TEXTS = (
+    "s9", "s-1", "s0 s4", "s", "ss1 s0", "s1 sss0", "s1,,s0", "s1 s0,", ",s1", ",", "",
+    "s1,s0", "s1, s0", "[s1 s0]", "(s1 s0)", " [s1, s0] ", "[s1 s0", "s1 s0)", "[s1 s0)",
+    "s1 [s0]", "1_0", "\u0663", "-1", "-s1", "s1 s0", "s10 s11 s0", "s12,s9,s100", "s01 1 s1",
+    "S1", "s1.0", "s+1", "s 1", "s1*",
+)
+
+
+@pytest.mark.parametrize("text", WORD_TEXTS)
+def test_letters_by_name_read_as_by_digits(text):
+    # the same letters, or the same error class and text, as int() alone gives
+    assert _outcome(cli._letters, text) == _outcome(_letters_by_digits, text)
+
+
+def test_words_past_s9_convert_through_the_digits(capsys):
+    argv = ("convert", "--family", "CC", "--rank", "12", "--from", "word", "--to", "word")
+    down = " ".join(f"s{g}" for g in range(12, -1, -1))  # s12 ... s1 s0
+    up = " ".join(f"s{g}" for g in range(1, 13))
+    assert run(capsys, *argv, f"{down} {up} s0") == (0, f"s0 {down}\n", "")
+    assert run(capsys, *argv, "s13 s0") == (
+        2, "", "error: UnknownGenerator: no generator s13 at rank 12\n")
+
+
 @pytest.mark.parametrize("word", ["ss1 s0", "s1 sss0"])
 def test_word_source_strips_one_s(capsys, word):
     code, out, err = run(
@@ -608,6 +648,76 @@ def test_window_past_the_digit_limit_is_a_typed_error(capsys):
     assert out == ""
     assert err.startswith("error: BadRequest: ")
     assert "limit" in err
+
+
+HUGE = ("--family", "CC", "--rank", "3", "--from", "root")
+
+
+@pytest.mark.parametrize(
+    "argv, view, bound",
+    [(("convert", *HUGE, "--to", target), target, bound)
+     for target, bound in (("core", 6 * 10**8), ("bounded", 10**8), ("word", 6 * 10**8))]
+    + [(("render", *HUGE, "--render", what), f"{what} drawing", bound)
+       for what, bound in (("abacus", 12 * 10**8 + 18), ("core", 36 * 10**16),
+                           ("bounded", 6 * 10**8), ("peel-trace", (6 * 10**8 + 1) * 36 * 10**16))],
+)
+def test_views_past_the_size_limit_are_refused_before_they_are_built(capsys, argv, view, bound):
+    # 6 * 10^8 rows (2n * top), 10^8 parts (the levels' |sum| / 2) and
+    # 6 * 10^8 letters (2n a part): none is built, so no MemoryError, and
+    # the answer comes at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "(100000000,0,0)")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: BadRequest: the {view} may pass the size limit of 1000000: bound {bound}\n"
+
+
+def test_a_huge_core_exits_2_at_once_without_a_memory_cap():
+    src = str(pathlib.Path(cx.__file__).parents[1])
+    argv = ["convert", *HUGE, "--to", "core", "(100000000,0,0)"]
+    proc = subprocess.run([sys.executable, "-m", "coxabacus.cli", *argv], capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: BadRequest: the core may pass the size limit of 1000000: "
+                           "bound 600000000\n")
+
+
+@pytest.mark.parametrize("family, n", [(Family.C_OVER_C, 2), (Family.B_OVER_B, 3),
+                                       (Family.B_OVER_D, 3), (Family.D_OVER_D, 4)])
+def test_each_size_bound_holds(family, n, monkeypatch):
+    # a limit one below the true size of a view or drawing always refuses
+    # it: no bound read off the levels is below the rows, parts, letters or
+    # cells it bounds
+    from coxabacus import render
+
+    ctx, rng = make_context(family, n), random.Random(n)
+    points = [tuple(2 * rng.randint(-2, 2) for _ in range(n)) for _ in range(12)]
+    for point in [(1, 1) + (0,) * (n - 2), *points]:
+        a = cx.from_coordinates(cx.RootPoint(ctx, point))
+        lam, beta = cx.from_abacus(a), cx.bounded_from_abacus(a)
+        sizes = {"core": len(lam.rows), "bounded": len(beta.parts),
+                 "word": len(cx.word_from_filling(beta)),
+                 "abacus drawing": sum(map(len, render._abacus_grid(a))),
+                 "core drawing": render.render_core_text(lam).count("["),
+                 "bounded drawing": render.render_bounded_text(beta).count("["),
+                 "peel-trace drawing": render.render_peel_trace(a).count("[")}
+        for view, size in sizes.items():
+            monkeypatch.setattr(cli, "SIZE_LIMIT", size - 1)
+            with pytest.raises(BadRequest, match="size limit"):
+                cli._within_limit(a, view)
+        monkeypatch.setattr(cli, "SIZE_LIMIT", -1)
+        assert all(cli._within_limit(a, view) is a for view in ("window", "levels", "root"))
+
+
+def test_a_bound_at_the_size_limit_passes(monkeypatch):
+    # the limit is the largest size allowed; at D~/D n=4 both forks take a
+    # letter off the 2n that bound a part: 2 parts of at most 6 letters
+    a = cx.from_coordinates(cx.RootPoint(make_context(Family.D_OVER_D, 4), (2, 0, 0, 0)))
+    monkeypatch.setattr(cli, "SIZE_LIMIT", 12)
+    assert cli._within_limit(a, "word") is a
+    monkeypatch.setattr(cli, "SIZE_LIMIT", 11)
+    with pytest.raises(BadRequest, match="^the word may pass the size limit of 11: bound 12$"):
+        cli._within_limit(a, "word")
 
 
 def test_core_source_validates_once(capsys, monkeypatch):

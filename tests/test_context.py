@@ -166,6 +166,17 @@ def test_non_integers_raise_malformed_text(build, bad):
     assert str(err.value) == f"not an integer: {bad}"
 
 
+def test_rank_is_read_by_operator_index():
+    # as integers() reads it: an int or any value with __index__, as an int
+    class Three:
+        def __index__(self):
+            return 3
+
+    for rank in (3, Three()):
+        ctx = make_context(Family.C_OVER_C, rank)
+        assert (ctx, type(ctx.n), ctx.N) == (make_context(Family.C_OVER_C, 3), int, 7)
+
+
 def test_family_by_name_is_a_typed_error():
     # the CLI maps names to members; the library takes only a member
     with pytest.raises(BadRequest) as err:

@@ -33,6 +33,14 @@ def test_render_word():
     assert render_word([]) == ""
 
 
+def test_render_word_names_letters_past_the_name_table():
+    # s0 ... s9 come from a table, any other letter from its digits; -1 is no
+    # index into the table, which would name it s9
+    letters = [*range(-2, 31), 10**6, 9, 10, 0]
+    assert render_word(letters) == " ".join(f"s{r}" for r in letters)
+    assert render_word([-1]) == "s-1"
+
+
 def test_abacus_text_marks_beads():
     a = cx.from_permutation(cx.identity(C3))
     out = render_abacus_text(a)

@@ -11,6 +11,7 @@ from coxabacus.errors import (
     ZeroResidue,
 )
 from coxabacus.oracle import (
+    _cond_n,
     _count_cond_zero,
     apply_generator_left,
     family_membership,
@@ -18,7 +19,7 @@ from coxabacus.oracle import (
     is_minimal_coset_rep,
     normalize,
 )
-from coxabacus.abacus import _cond_n, from_base_window
+from coxabacus.abacus import from_base_window
 
 C3 = cx.make_context(Family.C_OVER_C, 3)
 D4 = cx.make_context(Family.D_OVER_D, 4)
