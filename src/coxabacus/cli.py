@@ -61,6 +61,28 @@ def parse_element(ctx: GroupContext, rep: str, value: str) -> Abacus:
     raise BadRequest(f"unknown representation {rep!r}")
 
 
+SIZE_LIMIT = 10**6  # core rows, bounded parts, word letters or drawing cells
+
+
+def _within_limit(view: str, size: int) -> None:
+    if size > SIZE_LIMIT:
+        raise BadRequest(f"the {view} passes the size limit of {SIZE_LIMIT}")
+
+
+def _core_size(a: Abacus) -> tuple[int, int]:
+    """Rows and boxes of a's core: a row per bead above the first gap, which is on the first
+    runner at the lowest level (levels sum to 0), and n * sum(l_r^2) + sum(r * l_r) boxes."""
+    n, levels = a.ctx.n, a.levels
+    bottom = min(levels)
+    boxes = sum([n * v * v + r * v for r, v in enumerate(levels, 1)])
+    return -2 * n * bottom - levels.index(bottom), boxes
+
+
+def _parts(a: Abacus) -> int:
+    """Parts of a's bounded partition: a bead past N each, but the parity bead N+1 at s_0."""
+    return sum(map(abs, a.levels)) // 2 - (a.ctx.fork_at_zero and a.levels[0] > 0)
+
+
 def format_element(a: Abacus, rep: str) -> str:
     if rep == "window":
         try:  # N times the input's levels: may pass Python's int-to-text limit
@@ -72,11 +94,15 @@ def format_element(a: Abacus, rep: str) -> str:
     if rep == "root":
         return "(" + ",".join([str(v) for v in coordinates(a).coords]) + ")"
     if rep == "core":
+        _within_limit(rep, _core_size(a)[0])
         return "(" + ",".join([str(v) for v in from_abacus(a).rows]) + ")"
-    if rep == "bounded":
-        return str(bounded_from_abacus(a))
-    if rep == "word":
-        return render_word(word_from_filling(bounded_from_abacus(a)))
+    if rep in ("bounded", "word"):
+        _within_limit(rep, _parts(a))  # a letter or more a part
+        beta = bounded_from_abacus(a)
+        if rep == "bounded":
+            return str(beta)
+        _within_limit(rep, sum(beta.parts))
+        return render_word(word_from_filling(beta))
     raise BadRequest(f"unknown representation {rep!r}")
 
 
@@ -93,26 +119,6 @@ def element_record(a: Abacus, window: tuple[int, ...], length: int) -> dict:
         "bounded": str(beta),
         "word": word_from_filling(beta),
     }
-
-
-SIZE_LIMIT = 10**6  # rows, parts or letters of a view, cells of a drawing
-
-
-def _within_limit(a: Abacus, view: str) -> Abacus:
-    """a, unless its view or drawing may pass SIZE_LIMIT, by bounds off the
-    levels in O(n): a core row per bead above the first gap (at most 2n * top,
-    as levels sum to 0), a part per bead past N, 2n + x0 + xn letters a part."""
-    if view in ("window", "levels", "root"):  # no larger than the levels
-        return a
-    ctx, top = a.ctx, max(a.levels)
-    rows, parts = 2 * ctx.n * top, sum(map(abs, a.levels)) // 2
-    letters = parts * (2 * ctx.n + ctx.x0 + ctx.xn)
-    size = {"core": rows, "bounded": parts, "word": letters, "core drawing": rows * rows,
-            "abacus drawing": 2 * rows + 6 * ctx.n, "bounded drawing": letters,
-            "peel-trace drawing": (letters + 1) * rows * rows}[view]
-    if size > SIZE_LIMIT:
-        raise BadRequest(f"the {view} may pass the size limit of {SIZE_LIMIT}: bound {size}")
-    return a
 
 
 def build_parser():
@@ -172,8 +178,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 def cmd_convert(ctx: GroupContext, args) -> str:
-    return format_element(_within_limit(parse_element(ctx, args.source, args.value), args.target),
-                          args.target)
+    return format_element(parse_element(ctx, args.source, args.value), args.target)
 
 
 def cmd_enumerate(ctx: GroupContext, args) -> str:
@@ -188,15 +193,20 @@ def cmd_enumerate(ctx: GroupContext, args) -> str:
 
 def cmd_render(ctx: GroupContext, args) -> str:
     from . import render  # here, not at the top: only this command draws
-    a = _within_limit(parse_element(ctx, args.source, args.value), f"{args.what} drawing")
-    text = args.format == "text"
-    if args.what == "abacus":
+    a = parse_element(ctx, args.source, args.value)
+    text, view = args.format == "text", f"{args.what} drawing"
+    if args.what == "abacus":  # 2n cells a level, from below the lowest to above the highest
+        _within_limit(view, 2 * ctx.n * (max(a.levels) - min(a.levels) + 3))
         return (render.render_abacus_text if text else render.render_abacus_svg)(a)
     if args.what == "core":
+        _within_limit(view, _core_size(a)[1])
         return (render.render_core_text if text else render.render_core_svg)(from_abacus(a))
+    _within_limit(view, _parts(a))  # a cell or more a part
+    beta = bounded_from_abacus(a)
     if args.what == "bounded":
-        return (render.render_bounded_text if text else render.render_bounded_svg)(
-            bounded_from_abacus(a))
+        _within_limit(view, sum(beta.parts))
+        return (render.render_bounded_text if text else render.render_bounded_svg)(beta)
+    _within_limit(view, (sum(beta.parts) + 1) * _core_size(a)[1])  # frames times the first one
     return render.render_peel_trace(a, args.format)
 
 

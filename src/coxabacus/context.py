@@ -106,14 +106,8 @@ class GroupContext(Record, fields=("family", "n")):
     __slots__ = ("family", "n", "N", "fork_at_zero", "fork_at_n", "x0", "xn")
 
     def __init__(self, family: Family, n: int):
-        put = object.__setattr__
-        put(self, "family", family)
-        put(self, "n", n)
-        put(self, "N", 2 * n + 1)
-        put(self, "fork_at_zero", family.fork_at_zero)
-        put(self, "fork_at_n", family.fork_at_n)
-        put(self, "x0", -family.fork_at_zero)
-        put(self, "xn", -family.fork_at_n)
+        zero, end = family.fork_at_zero, family.fork_at_n
+        super().__init__(family, n, 2 * n + 1, zero, end, -1 if zero else 0, -1 if end else 0)
 
     def generators(self) -> range:
         return range(self.n + 1)
@@ -149,7 +143,7 @@ def tokens(text: str) -> list[str]:
 def make_context(family: Family, n: int) -> GroupContext:
     if not isinstance(family, Family):
         raise BadRequest(f"not a Family: {family!r}")
-    n = index(n) if isinstance(n, int) else integers((n,))[0]  # integers() names a non-integer
+    (n,) = integers((n,))
     if n < family.min_rank:
         raise RankTooSmall(f"family {family.value} requires rank >= {family.min_rank}, got {n}")
     return GroupContext(family, n)

@@ -654,22 +654,19 @@ HUGE = ("--family", "CC", "--rank", "3", "--from", "root")
 
 
 @pytest.mark.parametrize(
-    "argv, view, bound",
-    [(("convert", *HUGE, "--to", target), target, bound)
-     for target, bound in (("core", 6 * 10**8), ("bounded", 10**8), ("word", 6 * 10**8))]
-    + [(("render", *HUGE, "--render", what), f"{what} drawing", bound)
-       for what, bound in (("abacus", 12 * 10**8 + 18), ("core", 36 * 10**16),
-                           ("bounded", 6 * 10**8), ("peel-trace", (6 * 10**8 + 1) * 36 * 10**16))],
+    "argv, view",
+    [(("convert", *HUGE, "--to", target), target) for target in ("core", "bounded", "word")]
+    + [(("render", *HUGE, "--render", what), f"{what} drawing")
+       for what in ("abacus", "core", "bounded", "peel-trace")],
 )
-def test_views_past_the_size_limit_are_refused_before_they_are_built(capsys, argv, view, bound):
-    # 6 * 10^8 rows (2n * top), 10^8 parts (the levels' |sum| / 2) and
-    # 6 * 10^8 letters (2n a part): none is built, so no MemoryError, and
-    # the answer comes at once
+def test_views_past_the_size_limit_are_refused_before_they_are_built(capsys, argv, view):
+    # 6 * 10^8 - 5 rows, 10^8 parts and more letters: each count is read off
+    # the levels, none is built, so no MemoryError, and the answer comes at once
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "(100000000,0,0)")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == f"error: BadRequest: the {view} may pass the size limit of 1000000: bound {bound}\n"
+    assert err == f"error: BadRequest: the {view} passes the size limit of 1000000\n"
 
 
 def test_a_huge_core_exits_2_at_once_without_a_memory_cap():
@@ -678,46 +675,49 @@ def test_a_huge_core_exits_2_at_once_without_a_memory_cap():
     proc = subprocess.run([sys.executable, "-m", "coxabacus.cli", *argv], capture_output=True,
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: BadRequest: the core may pass the size limit of 1000000: "
-                           "bound 600000000\n")
+    assert proc.stderr == "error: BadRequest: the core passes the size limit of 1000000\n"
 
 
 @pytest.mark.parametrize("family, n", [(Family.C_OVER_C, 2), (Family.B_OVER_B, 3),
                                        (Family.B_OVER_D, 3), (Family.D_OVER_D, 4)])
-def test_each_size_bound_holds(family, n, monkeypatch):
-    # a limit one below the true size of a view or drawing always refuses
-    # it: no bound read off the levels is below the rows, parts, letters or
-    # cells it bounds
+def test_each_size_is_counted_exactly(family, n, monkeypatch, capsys):
+    # a view or drawing passes at a limit equal to its size and is refused
+    # one below it: the rows of a core, parts of a bounded partition, letters
+    # of a word, cells of a drawing, and a peel trace's frames times its first
     from coxabacus import render
 
     ctx, rng = make_context(family, n), random.Random(n)
     points = [tuple(2 * rng.randint(-2, 2) for _ in range(n)) for _ in range(12)]
-    for point in [(1, 1) + (0,) * (n - 2), *points]:
+    for point in [(0,) * n, (1, 1) + (0,) * (n - 2), *points]:
         a = cx.from_coordinates(cx.RootPoint(ctx, point))
         lam, beta = cx.from_abacus(a), cx.bounded_from_abacus(a)
-        sizes = {"core": len(lam.rows), "bounded": len(beta.parts),
-                 "word": len(cx.word_from_filling(beta)),
-                 "abacus drawing": sum(map(len, render._abacus_grid(a))),
-                 "core drawing": render.render_core_text(lam).count("["),
-                 "bounded drawing": render.render_bounded_text(beta).count("["),
-                 "peel-trace drawing": render.render_peel_trace(a).count("[")}
-        for view, size in sizes.items():
-            monkeypatch.setattr(cli, "SIZE_LIMIT", size - 1)
-            with pytest.raises(BadRequest, match="size limit"):
-                cli._within_limit(a, view)
-        monkeypatch.setattr(cli, "SIZE_LIMIT", -1)
-        assert all(cli._within_limit(a, view) is a for view in ("window", "levels", "root"))
+        letters, boxes = len(cx.word_from_filling(beta)), sum(lam.rows)
+        assert render.render_core_text(lam).count("[") == boxes
+        assert render.render_peel_trace(a).count("[") <= (letters + 1) * boxes
+        sizes = {("convert", "--to", "core"): len(lam.rows),
+                 ("convert", "--to", "bounded"): len(beta.parts),
+                 ("convert", "--to", "word"): letters,
+                 ("render", "--render", "abacus"): sum(map(len, render._abacus_grid(a))),
+                 ("render", "--render", "core"): boxes,
+                 ("render", "--render", "bounded"): render.render_bounded_text(beta).count("["),
+                 ("render", "--render", "peel-trace"): (letters + 1) * boxes}
+        for (command, flag, view), size in sizes.items():
+            argv = [command, "--family", family.value, "--rank", str(n), "--from", "levels",
+                    flag, view, f"({','.join(map(str, a.levels))})"]
+            for limit, code in ((size, 0), (size - 1, 2)):
+                monkeypatch.setattr(cli, "SIZE_LIMIT", limit)
+                assert main(argv) == code, (point, view, limit)
+                assert "size limit" in capsys.readouterr().err or code == 0
 
 
-def test_a_bound_at_the_size_limit_passes(monkeypatch):
-    # the limit is the largest size allowed; at D~/D n=4 both forks take a
-    # letter off the 2n that bound a part: 2 parts of at most 6 letters
-    a = cx.from_coordinates(cx.RootPoint(make_context(Family.D_OVER_D, 4), (2, 0, 0, 0)))
-    monkeypatch.setattr(cli, "SIZE_LIMIT", 12)
-    assert cli._within_limit(a, "word") is a
-    monkeypatch.setattr(cli, "SIZE_LIMIT", 11)
-    with pytest.raises(BadRequest, match="^the word may pass the size limit of 11: bound 12$"):
-        cli._within_limit(a, "word")
+def test_a_short_word_at_a_huge_rank_is_not_refused(capsys):
+    # 2n letters a part or 2n rows a level would pass the limit from rank
+    # 500,000 on; the counts themselves are 1 and 2
+    for target, word, answer in (("word", "s0", "s0"), ("core", "s0", "(1)"),
+                                 ("word", "s1 s0 s2", "s1 s0")):
+        code, out, _ = run(capsys, "convert", "--family", "CC", "--rank", "600000",
+                           "--from", "word", "--to", target, word)
+        assert (code, out) == (0, answer + "\n")
 
 
 def test_core_source_validates_once(capsys, monkeypatch):
